@@ -4,8 +4,10 @@ Covers the values at 0 (Ramanujan sums), at 1 (Bernoulli/Stirling/Jordan
 combinations), at -1 (the same twisted by the index multiplier alpha), the
 Bell-transform full derivatives, the derivative recurrence, the Schwarzian,
 and the inverse-cyclotomic variants.  Every function here has an independent
-oracle counterpart in polyring.log_derivative_oracle, and the test suite
-holds the two for exactly equal.
+oracle counterpart in polyring.log_derivative_oracle, which reads only the
+coefficients of the polynomial (a Taylor shift to the point followed by the
+power-series logarithm recurrence), and the test suite holds the two for
+exactly equal.
 
 No floating point appears anywhere: all values are Fraction or int.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .combinat import bell_complete, bernoulli_plus, exp_transform, stirling_first
+from .combinat import bernoulli_plus, exp_transform, stirling_first
 from .errors import DomainError, InputError, PoleError
 from .numtheory import euler_phi, jordan_totient, n_alpha, ramanujan_sum
 from .polyring import IntPoly, phi_value_at_one
@@ -197,7 +199,3 @@ def log_deriv_inverse_cyclo_at_minus_one(n: int, k: int) -> Fraction:
     )
     return (-1) ** k * s
 
-
-def bell_log_to_deriv(logs: list[Fraction], base: Fraction) -> Fraction:
-    """h^(K)(x) from ((log h)'(x), ..., (log h)^(K)(x)) and h(x)."""
-    return Fraction(base) * Fraction(bell_complete(len(logs), logs))

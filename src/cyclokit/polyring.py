@@ -139,9 +139,6 @@ class IntPoly:
             coeffs = tuple(i * c for i, c in enumerate(coeffs))[1:]
         return IntPoly(coeffs)
 
-    def reversed_coeffs(self) -> "IntPoly":
-        return IntPoly(tuple(reversed(self.coeffs)))
-
     def __repr__(self):
         return f"IntPoly({format_poly(self)!r})"
 
@@ -296,24 +293,40 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     """The first K logarithmic derivatives of f at x, exactly.
 
     (log f)^(k) means the (k-1)-th derivative of f'/f; no logarithm is ever
-    taken.  Writing (log f)^(k) = N_k / f^k, the numerators satisfy
-    N_1 = f' and N_{k+1} = N_k' f - k N_k f', which is plain quotient-rule
-    differentiation with the denominator tracked as a power of f.  This is
-    the independent oracle that every closed-form identity is tested against.
+    taken.  With x = p/q, the integer polynomial h(y) = q^d f(y/q) has
+    h(p + q t) = q^d f(x + t), so K + 1 synthetic divisions of h by y - p give
+    its Taylor coefficients c_0..c_K at p in integer arithmetic.  The series
+    H'/H = sum_j b_j s^(j-1) of H(s) = sum c_j s^j then follows from
+    j c_j = sum_{t<j} c_t b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.
+    This uses only the coefficients of f, so it is the independent oracle
+    that every closed-form identity is tested against; O(K deg f) work.
     """
     if K < 1:
         return []
-    fx = eval_rational(f, x)
-    if fx == 0:
+    r = Fraction(x)
+    p, q = r.numerator, r.denominator
+    h = [c * q ** i for i, c in enumerate(reversed(f.coeffs))]  # descending
+    taylor = []
+    while h and len(taylor) <= K:
+        for i in range(1, len(h)):
+            h[i] += h[i - 1] * p
+        taylor.append(h.pop())
+    if not taylor or taylor[0] == 0:
         raise PoleError(f"f({x}) = 0: logarithmic derivative has a pole")
-    fprime = f.derivative()
-    n_k = fprime
-    vals = [eval_rational(n_k, x) / fx]
-    fx_pow = fx
-    for k in range(1, K):
-        n_k = n_k.derivative() * f - k * (n_k * fprime)
-        fx_pow *= fx
-        vals.append(eval_rational(n_k, x) / fx_pow)
+    # integer numerators: b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t)
+    # and e_t = c_t c_0^(t-1), where e_t = 0 beyond the degree
+    c0 = taylor[0]
+    e = [0] + [c * c0 ** (t - 1) for t, c in enumerate(taylor[1:], 1)]
+    m = len(e) - 1
+    nums = [0]
+    vals = []
+    fact = 1
+    for j in range(1, K + 1):
+        n_j = j * e[j] if j <= m else 0
+        n_j -= sum(e[t] * nums[j - t] for t in range(1, min(j, m + 1)))
+        nums.append(n_j)
+        vals.append(Fraction(fact * n_j * q ** j, c0 ** j))
+        fact *= j
     return vals
 
 

@@ -224,27 +224,13 @@ def _fk_expected_pattern(k: int) -> tuple[int, ...]:
 def fk_no_other_cyclotomic_factors(k: int, N: int = 15) -> bool:
     """True when no Phi_n with n outside {6, 10, 12} divides f_k.
 
-    The check runs over every candidate n up to max(N, 2 (2k)^2), which
-    covers all n with phi(n) <= deg f_k; candidates are screened by the
-    integer divisibility Phi_n(2) | f_k(2) before any division.
+    Decided by the complete factorization factor_kronecker(f_k); the search
+    cap N is only validated, since that factorization already covers every n
+    with phi(n) <= deg f_k.
     """
     if k < 1 or N < 15:
         raise InputError("need k >= 1 and a search cap N >= 15")
-    from .kronecker import cyclotomic_candidates, _screen_values
-
-    f = fk_poly(k)
-    deg = 2 * k
-    bound = max(N, 2 * (2 * k) ** 2)
-    f2, f3 = f(2), f(3)
-    for n, phin in cyclotomic_candidates(deg):
-        if n > bound or n in _FK_DIVISOR_TABLE:
-            continue
-        v2, v3 = _screen_values(n)
-        if f2 % v2 or f3 % v3:
-            continue
-        if poly_div_exact(f, cyclotomic(n)) is not None:
-            return False
-    return True
+    return set(factor_kronecker(fk_poly(k)).factors) <= set(_FK_DIVISOR_TABLE)
 
 
 def fk_remainder(k: int) -> IntPoly:

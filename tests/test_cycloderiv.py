@@ -103,6 +103,19 @@ def test_formulas_match_oracle_small_sweep():
                 assert cd.log_deriv_phi_at_minus_one(n, k) == at_minus[k - 1]
 
 
+def test_formulas_match_oracle_large_degree():
+    # degrees 480, 1440 and 960
+    for n in (2310, 3003, 4620):
+        phi_n = pr.cyclotomic(n)
+        at_zero = pr.log_derivative_values(phi_n, 6, 0)
+        at_one = pr.log_derivative_values(phi_n, 6, 1)
+        at_minus = pr.log_derivative_values(phi_n, 6, -1)
+        for k in range(1, 7):
+            assert cd.log_deriv_phi_at_zero(n, k) == at_zero[k - 1]
+            assert cd.log_deriv_phi_at_one(n, k) == at_one[k - 1]
+            assert cd.log_deriv_phi_at_minus_one(n, k) == at_minus[k - 1]
+
+
 def test_mobius_relation_sigma_s():
     # sigma_k(n) = sum_{d | n} s_k(d), with s_k(n) = -(log Phi_n)^(k)(1)/(k-1)!
     def s_k(k, n):

@@ -167,6 +167,69 @@ def test_log_derivative_values_match_series_shift():
         assert vals[k - 1] == series[k - 1] * _fact(k - 1)
 
 
+def _quotient_rule_log_derivatives(f, K, x):
+    # (log f)^(k) = N_k / f^k with N_1 = f' and N_{k+1} = N_k' f - k N_k f':
+    # dense numerators of degree about k deg f, so only for small degrees
+    fx = pr.eval_rational(f, x)
+    if fx == 0:
+        raise PoleError(f"f({x}) = 0")
+    fprime = f.derivative()
+    n_k = fprime
+    vals = [pr.eval_rational(n_k, x) / fx]
+    for k in range(1, K):
+        n_k = n_k.derivative() * f - k * (n_k * fprime)
+        vals.append(pr.eval_rational(n_k, x) / fx ** (k + 1))
+    return vals
+
+
+def _assert_matches_quotient_rule(f, K, x):
+    # equal values, or PoleError from both; returns the values, None at a pole
+    try:
+        expected = _quotient_rule_log_derivatives(f, K, x)
+    except PoleError:
+        with pytest.raises(PoleError, match="logarithmic derivative has a pole"):
+            pr.log_derivative_values(f, K, x)
+        return None
+    got = pr.log_derivative_values(f, K, x)
+    assert all(type(v) is Fraction for v in got)
+    assert got == expected
+    return got
+
+
+def test_log_derivative_values_match_quotient_rule():
+    points = (0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7))
+    poles = set()
+    for n in range(1, 60):
+        f = pr.cyclotomic(n)
+        for x in points:
+            vals = _assert_matches_quotient_rule(f, 6, x)
+            if vals is None:
+                poles.add((n, x))
+                continue
+            for K in range(1, 6):
+                assert pr.log_derivative_values(f, K, x) == vals[:K]
+    assert poles == {(1, 1), (2, -1)}
+    assert pr.log_derivative_values(pr.cyclotomic(6), 0, 1) == []
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+int_polys = st.one_of(
+    st.just(IntPoly()),
+    st.builds(
+        lambda body, lead: IntPoly(body + [lead]),
+        st.lists(st.integers(-9, 9), max_size=12),
+        nonzero,
+    ),
+)
+rational_points = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, rational_points, st.integers(1, 6))
+def test_log_derivative_values_match_quotient_rule_random(f, x, K):
+    _assert_matches_quotient_rule(f, K, x)
+
+
 def _fact(n):
     out = 1
     for i in range(2, n + 1):
