@@ -198,13 +198,26 @@ def xn_minus_1(n: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_squarefree(n: int) -> IntPoly:
-    # n squarefree: divide x^n - 1 by Phi_d for every proper divisor d
-    poly = xn_minus_1(n)
-    for d in divisors(n)[:-1]:
-        q = poly_div_exact(poly, _cyclotomic_squarefree(d))
-        assert q is not None
-        poly = q
-    return poly
+    # n squarefree > 1: Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) is a palindrome,
+    # so the power series product up to degree phi(n)/2 gives it; a factor is
+    # one pass over those coefficients, and 1 there when d > phi(n)/2
+    if n == 1:
+        return IntPoly((-1, 1))
+    deg = 1
+    for p, _ in factorize(n):
+        deg *= p - 1
+    half = deg // 2
+    out = [1] + [0] * half
+    for d in divisors(n):
+        if d > half:
+            break
+        if mobius(n // d) == 1:
+            for i in range(half, d - 1, -1):
+                out[i] -= out[i - d]
+        else:
+            for i in range(d, half + 1):
+                out[i] += out[i - d]
+    return IntPoly(out + out[deg - half - 1 :: -1])
 
 
 def radical(n: int) -> int:
@@ -218,8 +231,9 @@ def radical(n: int) -> int:
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exactly, of degree phi(n).
 
-    Built by iterated exact division of x^r - 1 along the divisor lattice of
-    the radical r, then inflated via Phi_n(x) = Phi_r(x^(n/r)).
+    Built for the radical r as the truncated power series of the Mobius
+    product over the divisors of r, O(2^omega(n) phi(r)) work, then inflated
+    via Phi_n(x) = Phi_r(x^(n/r)).
     """
     if n < 1:
         raise InputError(f"cyclotomic index must be >= 1, got {n}")
@@ -232,23 +246,6 @@ def cyclotomic(n: int) -> IntPoly:
     for i, c in enumerate(base.coeffs):
         out[i * m] = c
     return IntPoly(out)
-
-
-def cyclotomic_mobius(n: int) -> IntPoly:
-    """Cross-check path: Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) for n > 1."""
-    if n < 2:
-        raise InputError("the Mobius product form needs n >= 2")
-    num = IntPoly((1,))
-    den = IntPoly((1,))
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 1:
-            num = num * IntPoly((1,) + (0,) * (d - 1) + (-1,))
-        elif mu == -1:
-            den = den * IntPoly((1,) + (0,) * (d - 1) + (-1,))
-    quot, rem = _divmod_unit(num, den)
-    assert rem.is_zero()
-    return quot
 
 
 def cyclotomic_value(n: int, x: int) -> int:

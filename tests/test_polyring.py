@@ -51,9 +51,31 @@ def test_cyclotomic_degree_and_flat_coefficients():
         assert all(c in (-1, 0, 1) for c in f.coeffs)
 
 
+def _cyclotomic_mobius(n):
+    """Reference build: Phi_n = prod_{d | n} (x^d - 1)^mu(n/d) by dense
+    products and one exact division."""
+    num = den = IntPoly((1,))
+    for d in nt.divisors(n):
+        mu = nt.mobius(n // d)
+        if mu == 1:
+            num = num * pr.xn_minus_1(d)
+        elif mu == -1:
+            den = den * pr.xn_minus_1(d)
+    return pr.poly_div_exact(num, den)
+
+
 def test_cyclotomic_mobius_path_agrees():
-    for n in range(2, 151):
-        assert pr.cyclotomic_mobius(n) == pr.cyclotomic(n)
+    for n in range(1, 151):
+        assert _cyclotomic_mobius(n) == pr.cyclotomic(n)
+
+
+def test_cyclotomic_four_and_five_primes():
+    # the range above has at most three distinct primes per index
+    for n in (210, 330, 1155, 2310, 4620):
+        assert _cyclotomic_mobius(n) == pr.cyclotomic(n)
+    # 15015 = 3.5.7.11.13, the least product of five odd primes
+    f = pr.cyclotomic(15015)
+    assert f.degree == 5760 and max(abs(c) for c in f.coeffs) == 23
 
 
 def test_cyclotomic_value():
