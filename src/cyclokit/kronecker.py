@@ -2,36 +2,40 @@
 
 A monic integer polynomial with all roots in the closed unit disc factors as
 x^e0 times a product of cyclotomic polynomials, so trial division against
-every Phi_d with phi(d) <= deg f is a complete decision procedure; the
-candidate indices are enumerated from a totient sieve over d <= 2 (deg f)^2,
-which exhausts {d : phi(d) <= deg f} because phi(d) >= sqrt(d/2).
+every Phi_d with phi(d) <= deg f is a complete decision procedure.  The
+candidate indices {d : phi(d) <= deg f} are enumerated directly, by a
+depth-first search over prime powers that keeps the running totient within
+the degree (the inverse-totient enumeration of Contini, Croot and
+Shparlinski), in time near-linear in the number of candidates.
 
-Candidates are screened before any polynomial division by the integer
-divisibility tests Phi_d(2) | f(2) and Phi_d(3) | f(3); only survivors are
-divided, and only division decides.
+Every division by a Phi_d, in the factorization and in the exclusion
+families alike, is screened first by the integer divisibility tests
+Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further division
+by the same Phi_d; only survivors are divided, and only division decides.
 
-The cheaper non-Kronecker certificates come first: sign tests on the real
-line, the vanishing odd-order Stirling-weighted logarithmic-derivative sums,
-and the even-order Jordan-totient lower bounds refined through root-of-unity
-exclusions.  Every certificate carries the witness values needed to recheck
-it without re-running the search.
+The cheaper non-Kronecker certificates come first: sign tests at a few small
+integers on the real line, the vanishing odd-order Stirling-weighted
+logarithmic-derivative sums, and the even-order Jordan-totient lower bounds
+refined through root-of-unity exclusions.  Every certificate carries the
+witness values needed to recheck it without re-running the search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import floor
 
 from .combinat import bernoulli_plus, stirling_second
 from .errors import InputError, InvariantError, PoleError
 from .numtheory import (
     euler_phi,
-    factorize,
     is_prime_power,
     jordan_totient,
     prime_power_value,
-    totient_sieve,
+    primes_up_to,
 )
 from .polyring import (
     IntPoly,
@@ -130,24 +134,45 @@ def _jsonify(obj):
 # ---------------------------------------------------------------------------
 # candidate enumeration and screening
 
-_screen_cache: dict[int, tuple[int, int]] = {}
-
-
 def cyclotomic_candidates(max_degree: int) -> list[tuple[int, int]]:
-    """All (d, phi(d)) with phi(d) <= max_degree, ascending in d."""
+    """All (d, phi(d)) with phi(d) <= max_degree, ascending in d.
+
+    Depth-first over the primes p <= max_degree + 1 in ascending order, each
+    taken to an exponent e >= 1 while the running totient, multiplied by
+    p^(e-1) (p - 1), stays within max_degree; every node of the search is one
+    candidate, so the work is proportional to their number.
+    """
     if max_degree < 1:
         return []
-    bound = 2 * max_degree * max_degree
-    phi = totient_sieve(bound)
-    return [(d, phi[d]) for d in range(1, bound + 1) if phi[d] <= max_degree]
+    primes = primes_up_to(max_degree + 1)
+    out = []
+    stack = [(0, 1, 1)]  # (index of the next usable prime, d, phi(d))
+    while stack:
+        i, d, phi = stack.pop()
+        out.append((d, phi))
+        for j in range(i, len(primes)):
+            p = primes[j]
+            phi_p = phi * (p - 1)
+            if phi_p > max_degree:
+                break
+            d_p = d * p
+            while phi_p <= max_degree:
+                stack.append((j + 1, d_p, phi_p))
+                d_p *= p
+                phi_p *= p
+    out.sort()
+    return out
 
 
+@lru_cache(maxsize=4096)
 def _screen_values(d: int) -> tuple[int, int]:
-    vals = _screen_cache.get(d)
-    if vals is None:
-        vals = (cyclotomic_value(d, 2), cyclotomic_value(d, 3))
-        _screen_cache[d] = vals
-    return vals
+    return cyclotomic_value(d, 2), cyclotomic_value(d, 3)
+
+
+def _passes_screen(d: int, f2: int, f3: int) -> bool:
+    # Phi_d | f over Z forces Phi_d(2) | f(2) and Phi_d(3) | f(3)
+    v2, v3 = _screen_values(d)
+    return f2 % v2 == 0 and f3 % v3 == 0
 
 
 def _strip_monomial(f: IntPoly) -> tuple[int, IntPoly]:
@@ -167,15 +192,11 @@ def factor_kronecker(f: IntPoly) -> CycloFactorization:
     factors: dict[int, int] = {}
     g2, g3 = g(2), g(3)
     for d, phid in cyclotomic_candidates(g.degree):
-        if phid > g.degree:
-            continue
-        v2, v3 = _screen_values(d)
-        if g2 % v2 or g3 % v3:
-            continue
-        while phid <= g.degree:
+        while phid <= g.degree and _passes_screen(d, g2, g3):
             q = poly_div_exact(g, cyclotomic(d))
             if q is None:
                 break
+            v2, v3 = _screen_values(d)
             g = q
             g2 //= v2
             g3 //= v3
@@ -189,8 +210,10 @@ def factor_kronecker(f: IntPoly) -> CycloFactorization:
 def sign_tests(f: IntPoly) -> Certificate | None:
     """Real-line positivity tests: a Kronecker f has f(1) >= 0; when moreover
     f(0) != 0 and f(1) > 0 it has f(-1) >= 0, and when f(-1) > 0 it is
-    positive on the whole real line, so any integer sample in the root bound
-    box [-B, B] with f(x) <= 0 is a certificate."""
+    positive on the whole real line, so any integer x with f(x) <= 0 is a
+    certificate.  Only 2 <= |x| <= min(3, B) is sampled, where B = 1 +
+    max|coeff| bounds the roots; the sample is a cheap early exit, and trial
+    division still decides whatever it misses."""
     if not f.is_monic():
         raise InputError("sign_tests requires a monic polynomial")
     v1 = f(1)
@@ -211,7 +234,7 @@ def sign_tests(f: IntPoly) -> Certificate | None:
         )
     if vm1 == 0:
         return None
-    bound = 1 + max(abs(c) for c in f.coeffs)
+    bound = min(3, 1 + max(abs(c) for c in f.coeffs))
     for x in range(-bound, bound + 1):
         if x in (-1, 0, 1):
             continue
@@ -278,10 +301,11 @@ def odd_identity_check(f: IntPoly, k: int) -> Certificate | None:
 class ExcludedIndices:
     """Symbolic description of indices d whose Phi_d cannot divide f.
 
-    For each handled m in {1, 2, 3, 4, 6} the whole family {m q^j : j >= 1}
-    is excluded for every prime q with q^2 not dividing |f(zeta_m)|^2; the
-    families are infinite, so membership is decided symbolically.  extra
-    holds explicitly excluded single indices; 1 is always excluded.
+    allowed_primes pairs each handled m in {1, 2, 3, 4, 6} with the primes
+    q <= deg f + 1 for which q^2 divides |f(zeta_m)|^2; the whole family
+    {m q^j : j >= 1} is excluded for every other prime q.  The families are
+    infinite, so membership is decided symbolically.  extra holds explicitly
+    excluded single indices; 1 is always excluded.
     """
 
     allowed_primes: tuple[tuple[int, frozenset[int]], ...]
@@ -313,20 +337,30 @@ def excluded_set(f: IntPoly) -> ExcludedIndices:
     """Forbidden cyclotomic index families derived from |f(zeta_m)|^2.
 
     If Phi_{m q^j} divides f then q^2 divides the norm |f(zeta_m)|^2, so any
-    prime with q^2 not dividing the norm rules out the whole family.  Each m
+    prime with q^2 not dividing the norm rules out the whole family.  Only
+    the primes q <= deg f + 1 are tested: for a larger q, phi(m q^j) >= q - 1
+    exceeds deg f, so that family is excluded whatever the norm.  Each m
     needs f(zeta_d) != 0 for all d <= m; an m whose hypothesis fails is
-    skipped and recorded.
+    skipped and recorded.  That hypothesis is decided by trial division by
+    Phi_1..Phi_6, once each and only for the d that pass the integer screen.
     """
+    f2, f3 = f(2), f(3)
+    divides = {
+        d: _passes_screen(d, f2, f3) and poly_div_exact(f, cyclotomic(d)) is not None
+        for d in range(1, 7)
+    }
+    primes = primes_up_to(f.degree + 1)
+    primes = primes[: bisect_right(primes, f.degree + 1)]
     handled = []
     skipped = []
     for m in (1, 2, 3, 4, 6):
-        if any(poly_div_exact(f, cyclotomic(d)) is not None for d in range(1, m + 1)):
+        if any(divides[d] for d in range(1, m + 1)):
             skipped.append(m)
             continue
         norm2 = eval_at_root_of_unity(f, m).norm_squared()
         if norm2 == 0:
             raise InvariantError(f"norm vanished at m={m} despite divisor check")
-        allowed = frozenset(q for q, e in factorize(norm2) if e >= 2)
+        allowed = frozenset(q for q in primes if norm2 % (q * q) == 0)
         handled.append((m, allowed))
     return ExcludedIndices(tuple(handled), tuple(skipped))
 

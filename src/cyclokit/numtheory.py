@@ -1,8 +1,9 @@
 """Multiplicative arithmetic functions, Jordan totients and Ramanujan sums.
 
 Everything here is exact integer (or Fraction) arithmetic.  Factorization is
-plain trial division against a cached prime sieve; inputs in this library stay
-well below 10**9, so nothing fancier is warranted.  All functions memoize, and
+plain trial division against a shared prime sieve that grows only as far as
+the cofactor left to split needs; inputs in this library stay well below
+10**9, so nothing fancier is warranted.  All functions memoize, and
 the caches only ever grow, so concurrent readers are safe under the GIL.
 """
 
@@ -34,14 +35,29 @@ def primes_up_to(limit: int) -> list[int]:
     return _prime_list
 
 
+def _ascending_primes():
+    # walks the shared prime list, doubling it whenever the walk reaches its end
+    i = 0
+    while True:
+        if i == len(_prime_list):
+            primes_up_to(_prime_limit + 1)
+        yield _prime_list[i]
+        i += 1
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p strictly increasing."""
+    """Prime factorization of n >= 1 as ((p, e), ...) with p strictly increasing.
+
+    Primes are divided out in ascending order until p^2 exceeds the remaining
+    cofactor, so the prime list only grows as far as that cofactor needs:
+    2^60 and 2 * 3^40 never touch a prime above 5.
+    """
     if n < 1:
         raise InputError(f"factorize requires n >= 1, got {n}")
     out = []
     m = n
-    for p in primes_up_to(isqrt(n) + 1):
+    for p in _ascending_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -194,7 +210,11 @@ _phi_sieve: list[int] = [0, 1]
 
 
 def totient_sieve(limit: int) -> list[int]:
-    """Totient table phi[0..limit] (shared list, grown geometrically; read-only)."""
+    """Totient table phi[0..limit] (shared list, grown geometrically; read-only).
+
+    No library route needs the table; the tests use it as the oracle for the
+    inverse-totient candidate enumeration of the kronecker module.
+    """
     global _phi_sieve
     if limit >= len(_phi_sieve):
         size = max(limit + 1, 2 * len(_phi_sieve))

@@ -249,9 +249,25 @@ def cyclotomic(n: int) -> IntPoly:
 
 
 def cyclotomic_value(n: int, x: int) -> int:
-    """Phi_n(x) for integer x without materializing Phi_n for huge n."""
+    """Phi_n(x) for integer x.
+
+    With r = rad(n) and y = x^(n/r), Phi_n(x) = Phi_r(y) = prod_{d | r}
+    (y^d - 1)^mu(r/d).  For |x| >= 2 no factor vanishes, so the value is the
+    exact quotient of the products over mu(r/d) = 1 and mu(r/d) = -1, and no
+    polynomial is built; for |x| <= 1 the squarefree Phi_r is evaluated at y
+    instead.
+    """
     r = radical(n)
-    return _cyclotomic_squarefree(r)(x ** (n // r))
+    y = x ** (n // r)
+    if abs(x) < 2:
+        return _cyclotomic_squarefree(r)(y)
+    num = den = 1
+    for d in divisors(r):
+        if mobius(r // d) == 1:
+            num *= y ** d - 1
+        else:
+            den *= y ** d - 1
+    return num // den
 
 
 @lru_cache(maxsize=1024)
@@ -455,11 +471,18 @@ def zeta(m: int) -> QuadraticInt:
 
 
 def eval_at_root_of_unity(f: IntPoly, m: int) -> QuadraticInt:
-    """Exact f(zeta_m) in Z[zeta_m] for m in {1, 2, 3, 4, 6}."""
+    """Exact f(zeta_m) in Z[zeta_m] for m in {1, 2, 3, 4, 6}.
+
+    Since zeta_m^m = 1, f(zeta_m) = sum_r S_r zeta_m^r with the residue-class
+    sums S_r = f.coeffs[r] + f.coeffs[r + m] + ...; only the m powers
+    zeta_m^r are reduced in the basis {1, zeta_m}.
+    """
     z = zeta(m)
+    power = QuadraticInt(m, 1)
     acc = QuadraticInt(m, 0)
-    for c in reversed(f.coeffs):
-        acc = acc * z + c
+    for r in range(m):
+        acc = acc + power * sum(f.coeffs[r::m])
+        power = power * z
     return acc
 
 

@@ -307,3 +307,68 @@ def test_candidates_cover_bound():
     for d in range(1, 201):
         if phi[d] <= 10:
             assert d in ds
+
+
+def test_candidates_match_totient_sieve_scan():
+    # phi(d) >= sqrt(d/2), so d <= 2 D^2 covers every d with phi(d) <= D
+    phi = nt.totient_sieve(2 * 300 * 300)
+    for D in range(301):
+        want = [(d, phi[d]) for d in range(1, 2 * D * D + 1) if phi[d] <= D]
+        assert kr.cyclotomic_candidates(D) == want, D
+
+
+def test_excluded_set_keeps_every_dividing_index():
+    rng = random.Random(2024)
+    for _ in range(120):
+        f = IntPoly((1,))
+        for _ in range(rng.randint(1, 4)):
+            f = f * pr.cyclotomic(rng.randint(2, 120)) ** rng.randint(1, 2)
+        cofactor = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 8))] + [1])
+        if cofactor(1) == 0:
+            continue
+        f = f * cofactor
+        fac = kr.factor_kronecker(f)
+        assert fac.reconstruct() == f
+        ex = kr.excluded_set(f)
+        for d in fac.factors:
+            assert not ex.excludes(d), (f, d, ex.describe())
+
+
+def test_excluded_set_tests_only_primes_up_to_degree_plus_one():
+    # |f(1)|^2 = 13^2 for x^2 + 12, but phi(13^j) >= 12 > deg f, so 13 is
+    # never tested and its families stay excluded
+    ex = kr.excluded_set(IntPoly((12, 0, 1)))
+    assert [m for m, _ in ex.allowed_primes] == [1, 2, 3, 4, 6]
+    assert all(not qs for _, qs in ex.allowed_primes)
+    assert ex.excludes(13) and ex.excludes(169)
+
+
+def _degree_842_product():
+    rng = random.Random(1)
+    return [rng.randrange(1, 200) for _ in range(12)]
+
+
+def test_certify_degree_842_product():
+    ds = _degree_842_product()
+    assert ds == [35, 146, 196, 17, 66, 31, 127, 195, 116, 121, 167, 98]
+    f = IntPoly((1,))
+    for d in ds:
+        f = f * pr.cyclotomic(d)
+    assert f.degree == 842
+    cert = kr.certify(f)
+    assert cert.verdict == kr.VERDICT_KRONECKER
+    assert cert.factorization.factors == {d: 1 for d in ds}
+    assert cert.factorization.e0 == 0
+
+
+def test_factor_kronecker_high_degree_trinomial():
+    f = IntPoly.monomial(1, 2000) + IntPoly((1, 1))
+    fac = kr.factor_kronecker(f)
+    assert fac.factors == {3: 1}
+    assert fac.reconstruct() == f
+
+
+def test_certify_large_constant_term():
+    cert = kr.certify(IntPoly((10 ** 9, 0, 1)))
+    assert cert.verdict == kr.VERDICT_NON_KRONECKER
+    assert cert.factorization.remainder == IntPoly((10 ** 9, 0, 1))

@@ -148,3 +148,23 @@ def test_totient_sieve():
     phi = nt.totient_sieve(1000)
     for n in range(1, 1001):
         assert phi[n] == nt.euler_phi(n)
+
+
+def test_factorize_grows_primes_only_as_far_as_the_cofactor(monkeypatch):
+    # the old route sieved up to isqrt(n) first (2^30 entries for 2^60); a
+    # guard on the sieve makes any such request fail instead of allocating
+    sieve = nt.primes_up_to
+
+    def bounded_sieve(limit):
+        assert limit <= 10 ** 4, f"sieve requested up to {limit}"
+        return sieve(limit)
+
+    monkeypatch.setattr(nt, "primes_up_to", bounded_sieve)
+    before = nt._prime_limit
+    uncached = nt.factorize.__wrapped__
+    assert uncached(2 ** 60) == ((2, 60),)
+    assert uncached(2 * 3 ** 40) == ((2, 1), (3, 40))
+    assert nt._prime_limit == before
+    # the cofactor 10007 left after 101 and 103 needs primes up to 107 only
+    assert uncached(101 * 103 * 10007) == ((101, 1), (103, 1), (10007, 1))
+    assert nt._prime_limit <= max(before, 2 * 107)

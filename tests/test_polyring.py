@@ -317,6 +317,38 @@ def test_eval_at_root_of_unity():
                 assert val.norm_squared() == 1
 
 
+def _eval_at_root_of_unity_horner(f, m):
+    # the former production route: Horner over Z[zeta_m]
+    z = pr.zeta(m)
+    acc = pr.QuadraticInt(m, 0)
+    for c in reversed(f.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def test_eval_at_root_of_unity_matches_horner_on_cyclotomics():
+    for n in range(1, 300):
+        f = pr.cyclotomic(n)
+        for m in (1, 2, 3, 4, 6):
+            assert pr.eval_at_root_of_unity(f, m) == _eval_at_root_of_unity_horner(f, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(IntPoly, st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=41)),
+    st.sampled_from([1, 2, 3, 4, 6]),
+)
+def test_eval_at_root_of_unity_matches_horner(f, m):
+    assert pr.eval_at_root_of_unity(f, m) == _eval_at_root_of_unity_horner(f, m)
+
+
+def test_cyclotomic_value_matches_polynomial():
+    for n in range(1, 2000):
+        f = pr.cyclotomic(n)
+        for a in (2, -2, 3, -3, 5, -7):
+            assert pr.cyclotomic_value(n, a) == f(a), (n, a)
+
+
 def test_poly_div_exact():
     assert pr.poly_div_exact(pr.xn_minus_1(6), pr.cyclotomic(6)) == pr.inverse_cyclotomic(6)
     assert pr.poly_div_exact(IntPoly((1, 0, 1)), IntPoly((1, 1))) is None
