@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import combinat, cyclocoeffs, cycloderiv, kronecker, numtheory, polyring, semigroup
 from .errors import CyclokitError, InputError, InvariantError
+from .kronecker import _rat_str as _rat
 from .polyring import IntPoly
 
 EXIT_OK = 0
@@ -26,11 +27,6 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 PHI_DEGREE_GUARDRAIL = 10 ** 6
-
-
-def _rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -20,7 +20,6 @@ from .errors import DomainError, InputError
 Rational = Fraction | int
 
 _B_PLUS: list[Fraction] = [Fraction(1)]
-_B_MINUS: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli_plus(n: int) -> Fraction:
@@ -36,13 +35,8 @@ def bernoulli_plus(n: int) -> Fraction:
 
 def bernoulli_minus(n: int) -> Fraction:
     """Bernoulli number B_n^- = B_n(0); equals B_n^+ except that B_1^- = -1/2."""
-    if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
-    while len(_B_MINUS) <= n:
-        m = len(_B_MINUS)
-        s = sum(comb(m, k) * _B_MINUS[k] / (m - k + 1) for k in range(m))
-        _B_MINUS.append(-s)
-    return _B_MINUS[n]
+    b = bernoulli_plus(n)
+    return -b if n == 1 else b
 
 
 @lru_cache(maxsize=None)

@@ -6,18 +6,23 @@ every Phi_d with phi(d) <= deg f is a complete decision procedure.  The
 candidate indices {d : phi(d) <= deg f} are enumerated directly, by a
 depth-first search over prime powers that keeps the running totient within
 the degree (the inverse-totient enumeration of Contini, Croot and
-Shparlinski), in time near-linear in the number of candidates.
+Shparlinski), in time near-linear in the number of candidates; the search
+runs once per binary order of magnitude of the degree and is cached.
 
 Every division by a Phi_d, in the factorization and in the exclusion
 families alike, is screened first by the integer divisibility tests
 Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further division
 by the same Phi_d; only survivors are divided, and only division decides.
 
-The cheaper non-Kronecker certificates come first: sign tests at a few small
-integers on the real line, the vanishing odd-order Stirling-weighted
-logarithmic-derivative sums, and the even-order Jordan-totient lower bounds
-refined through root-of-unity exclusions.  Every certificate carries the
-witness values needed to recheck it without re-running the search.
+certify factors first and checks the factorization against f by rebuilding
+the product through the Mobius series Phi_d = prod_{t | d} (1 - x^t)^mu(d/t)
+(Arnold and Monagan), one O(deg) pass per factor (1 - x^t).  The analytic
+non-Kronecker certificates follow: sign tests at a few small integers on the
+real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
+sums, and the even-order Jordan-totient lower bounds refined through
+root-of-unity exclusions and the multiplicities the factorization found.
+Every certificate carries the witness values needed to recheck it without
+re-running the search.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from math import floor
 from .combinat import bernoulli_plus, stirling_second
 from .errors import InputError, InvariantError, PoleError
 from .numtheory import (
+    divisors,
     euler_phi,
     is_prime_power,
     jordan_totient,
+    mobius,
     prime_power_value,
     primes_up_to,
 )
@@ -43,7 +50,6 @@ from .polyring import (
     cyclotomic_value,
     eval_at_root_of_unity,
     log_derivative_values,
-    multiplicity,
     poly_div_exact,
 )
 
@@ -68,10 +74,36 @@ class CycloFactorization:
     remainder: IntPoly
 
     def reconstruct(self) -> IntPoly:
-        out = IntPoly.monomial(1, self.e0)
-        for d, e in sorted(self.factors.items()):
-            out = out * cyclotomic(d) ** e
-        return out * self.remainder
+        """x^e0 * prod Phi_d^(e_d) * remainder, with no polynomial product.
+
+        Phi_d = prod_{t | d} (1 - x^t)^mu(d/t) for d >= 2 and Phi_1 = -(1 - x),
+        so the factors multiply to (-1)^e_1 prod_t (1 - x^t)^n_t with the net
+        exponents n_t = sum_d e_d mu(d/t).  Each factor (1 - x^t)^(+-1) is one
+        pass over the remainder's power series, truncated at the degree
+        deg R + sum_t t n_t of the result; the truncation is exact because the
+        product has exactly that degree.  Work: O(deg) per pass, at most
+        sum_d e_d 2^omega(d) passes.
+        """
+        if self.remainder.is_zero():
+            return IntPoly()
+        net: dict[int, int] = {}
+        for d, e in self.factors.items():
+            if e < 0:
+                raise InputError(f"negative exponent {e} for Phi_{d}")
+            for t in divisors(d):
+                net[t] = net.get(t, 0) + mobius(d // t) * e
+        rem = self.remainder.coeffs
+        deg = len(rem) - 1 + sum(t * n for t, n in net.items())
+        out = list(rem) + [0] * (deg + 1 - len(rem))
+        for t, n in net.items():
+            for _ in range(n):
+                out[t:] = [a - b for a, b in zip(out[t:], out)]
+            for _ in range(-n):
+                for i in range(t, deg + 1):
+                    out[i] += out[i - t]
+        if self.factors.get(1, 0) % 2:
+            out = [-c for c in out]
+        return IntPoly([0] * self.e0 + out)
 
     @property
     def is_kronecker(self) -> bool:
@@ -137,13 +169,22 @@ def _jsonify(obj):
 def cyclotomic_candidates(max_degree: int) -> list[tuple[int, int]]:
     """All (d, phi(d)) with phi(d) <= max_degree, ascending in d.
 
-    Depth-first over the primes p <= max_degree + 1 in ascending order, each
-    taken to an exponent e >= 1 while the running totient, multiplied by
-    p^(e-1) (p - 1), stays within max_degree; every node of the search is one
-    candidate, so the work is proportional to their number.
+    Filtered out of the cached table for the bound 2^k - 1 >= max_degree,
+    k = max_degree.bit_length(), so the degrees of one binary order of
+    magnitude share one search; the caller gets a fresh list.
     """
     if max_degree < 1:
         return []
+    table = _candidate_table((1 << max_degree.bit_length()) - 1)
+    return [c for c in table if c[1] <= max_degree]
+
+
+@lru_cache(maxsize=64)
+def _candidate_table(max_degree: int) -> tuple[tuple[int, int], ...]:
+    # depth-first over the primes p <= max_degree + 1 in ascending order, each
+    # taken to an exponent e >= 1 while the running totient, multiplied by
+    # p^(e-1) (p - 1), stays within max_degree; every node of the search is
+    # one candidate, so the work is proportional to their number
     primes = primes_up_to(max_degree + 1)
     out = []
     stack = [(0, 1, 1)]  # (index of the next usable prime, d, phi(d))
@@ -161,7 +202,7 @@ def cyclotomic_candidates(max_degree: int) -> list[tuple[int, int]]:
                 d_p *= p
                 phi_p *= p
     out.sort()
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -478,17 +519,21 @@ def even_bound_check(
 def certify(f: IntPoly) -> Certificate:
     """Decide whether f is Kronecker, preferring checkable certificates.
 
-    Pipeline: strip the monomial part, sign tests, odd-order identity checks
-    (k = 3, 5), root-of-unity exclusions with exact multiplicities for the
-    low-ratio indices feeding the refined even-order bound (k = 2, 4), and
-    finally the complete trial-division factorization as the decision.  The
-    factorization is attached to every certificate; an analytic certificate
-    firing on a polynomial whose remainder is trivial is an invariant
-    violation (the checks are sound), as is a factorization that fails to
-    reconstruct its input.
+    Pipeline: the complete trial-division factorization comes first, checked
+    coefficient by coefficient against f; then, on f with its monomial part
+    stripped, sign tests, odd-order identity checks (k = 3, 5), and
+    root-of-unity exclusions feeding the refined even-order bound (k = 2, 4),
+    whose exact multiplicities for the low-ratio indices are read off the
+    factorization.  The factorization decides and is attached to every
+    certificate; an analytic certificate firing on a polynomial whose
+    remainder is trivial is an invariant violation (the checks are sound), as
+    is a factorization that fails to reconstruct its input.
     """
     if not f.is_monic():
         raise InputError("certify requires a monic polynomial")
+    factorization = factor_kronecker(f)
+    if factorization.reconstruct() != f:
+        raise InvariantError("factorization does not reconstruct the input")
     e0, g = _strip_monomial(f)
     cert = sign_tests(g)
     if cert is not None and e0:
@@ -502,14 +547,12 @@ def certify(f: IntPoly) -> Certificate:
         if cert is None and g(1) != 0:
             C = excluded_set(g)
             small = _small_low_ratio_indices(2, C)
-            known = {d: multiplicity(g, cyclotomic(d)) for d in small}
+            # Phi_d is coprime to x, so its multiplicity in g is e_d of f
+            known = {d: factorization.factors.get(d, 0) for d in small}
             for k in (2, 4):
                 cert = even_bound_check(g, k, C, known_divisors=known)
                 if cert is not None:
                     break
-    factorization = factor_kronecker(f)
-    if factorization.reconstruct() != f:
-        raise InvariantError("factorization does not reconstruct the input")
     if factorization.is_kronecker:
         if cert is not None:
             raise InvariantError(

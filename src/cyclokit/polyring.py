@@ -196,7 +196,7 @@ def xn_minus_1(n: int) -> IntPoly:
     return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _cyclotomic_squarefree(n: int) -> IntPoly:
     # n squarefree > 1: Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) is a palindrome,
     # so the power series product up to degree phi(n)/2 gives it; a factor is

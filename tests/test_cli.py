@@ -53,6 +53,15 @@ def test_scalar_commands(capsys):
     assert run(capsys, "schwarzian", "5")[1] == "-3/1"
 
 
+def test_bernoulli_minus_output(capsys):
+    want = ["1/1", "-1/2", "1/6", "0/1", "-1/30", "0/1", "1/42", "0/1", "-1/30", "0/1", "5/66"]
+    for k, value in enumerate(want):
+        assert run(capsys, "bernoulli", str(k), "--minus") == (0, value, "")
+    code, out, _ = run(capsys, "--json", "bernoulli", "1", "--minus")
+    assert code == 0
+    assert json.loads(out)["result"] == {"k": 1, "minus": True, "value": "-1/2"}
+
+
 def test_bellpoly(capsys):
     code, out, _ = run(capsys, "bellpoly", "partial", "4", "2", "--xs", "1,1,1")
     assert out == "7/1"

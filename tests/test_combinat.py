@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,23 @@ def test_bernoulli_plus_minus_agree_off_one():
         assert cb.bernoulli_plus(n) == cb.bernoulli_minus(n)
         if n % 2 == 1:
             assert cb.bernoulli_plus(n) == 0
+
+
+def _bernoulli_minus_recurrence(n):
+    # B_m^- = -sum_{k<m} C(m, k) B_k^- / (m - k + 1), the B^- side of the
+    # recurrence, kept apart from the B^+ route the library derives B^- from
+    table = [Fraction(1)]
+    for m in range(1, n + 1):
+        table.append(-sum(comb(m, k) * table[k] / (m - k + 1) for k in range(m)))
+    return table
+
+
+def test_bernoulli_minus_matches_its_own_recurrence():
+    table = _bernoulli_minus_recurrence(40)
+    for n in range(41):
+        assert cb.bernoulli_minus(n) == table[n], n
+    with pytest.raises(InputError):
+        cb.bernoulli_minus(-1)
 
 
 def test_bernoulli_even_sign():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclokit import kronecker as kr
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
-from cyclokit.errors import InputError
+from cyclokit.errors import InputError, InvariantError
 from cyclokit.polyring import IntPoly
 
 
@@ -372,3 +374,174 @@ def test_certify_large_constant_term():
     cert = kr.certify(IntPoly((10 ** 9, 0, 1)))
     assert cert.verdict == kr.VERDICT_NON_KRONECKER
     assert cert.factorization.remainder == IntPoly((10 ** 9, 0, 1))
+
+
+def _reconstruct_dense(fac):
+    # the dense O(deg^2) product of the cached Phi_d, kept as the oracle for
+    # the Mobius-series reconstruction
+    out = IntPoly.monomial(1, fac.e0)
+    for d, e in sorted(fac.factors.items()):
+        out = out * pr.cyclotomic(d) ** e
+    return out * fac.remainder
+
+
+def test_reconstruct_matches_dense_product():
+    rng = random.Random(31337)
+    remainders = [
+        lambda: IntPoly(),
+        lambda: IntPoly((rng.choice([1, -1, 2, -7, 10 ** 12]),)),
+        lambda: IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [1]),
+        lambda: IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.choice([-3, -1, 2, 5])]),
+    ]
+    index_draws = [
+        lambda: 1,
+        lambda: 2,
+        lambda: rng.randint(1, 30),
+        lambda: rng.randint(1, 250),
+    ]
+    seen_e1 = set()
+    for case in range(2000):
+        factors = {}
+        for _ in range(rng.randint(0, 4)):
+            d = rng.choice(index_draws)()
+            factors[d] = factors.get(d, 0) + rng.randint(1, 3)
+        seen_e1.add(factors.get(1, 0) % 2 if 1 in factors else None)
+        fac = kr.CycloFactorization(rng.randint(0, 3), factors, rng.choice(remainders)())
+        assert fac.reconstruct() == _reconstruct_dense(fac), (case, fac)
+    assert seen_e1 == {None, 0, 1}
+    # edge cases by name: no factors, the zero remainder, Phi_1 to odd and
+    # even powers, an index above 250 with a repeated prime
+    for fac in (
+        kr.CycloFactorization(0, {}, IntPoly((1,))),
+        kr.CycloFactorization(2, {}, IntPoly((5, 0, -3))),
+        kr.CycloFactorization(1, {1: 1, 6: 2}, IntPoly()),
+        kr.CycloFactorization(0, {1: 3}, IntPoly((1,))),
+        kr.CycloFactorization(3, {1: 2, 2: 1}, IntPoly((-1,))),
+        kr.CycloFactorization(0, {2: 2, 4: 1, 1260: 1}, IntPoly((1, 1, 1))),
+    ):
+        assert fac.reconstruct() == _reconstruct_dense(fac), fac
+    assert kr.CycloFactorization(1, {1: 1, 6: 2}, IntPoly()).reconstruct().is_zero()
+
+
+def test_reconstruct_rejects_what_the_product_rejects():
+    with pytest.raises(InputError):
+        kr.CycloFactorization(0, {0: 1}, IntPoly((1,))).reconstruct()
+    with pytest.raises(InputError):
+        kr.CycloFactorization(0, {3: -1}, IntPoly((1,))).reconstruct()
+
+
+def test_candidates_match_totient_sieve_scan_at_table_boundaries():
+    # the cached tables change at the powers of two
+    phi = nt.totient_sieve(2 * 512 * 512)
+    for D in (0, 127, 128, 129, 255, 256, 257, 511, 512):
+        want = [(d, phi[d]) for d in range(1, 2 * D * D + 1) if phi[d] <= D]
+        assert kr.cyclotomic_candidates(D) == want, D
+
+
+def test_candidates_are_a_fresh_list():
+    first = kr.cyclotomic_candidates(100)
+    want = list(first)
+    first.append((0, 0))
+    first[0] = (-1, -1)
+    del first[5:]
+    assert kr.cyclotomic_candidates(100) == want
+    assert kr.cyclotomic_candidates(90) == [c for c in want if c[1] <= 90]
+
+
+def test_certify_divides_and_multiplies_once(monkeypatch):
+    # certify reads the low-ratio multiplicities off its factorization and
+    # reconstructs without polynomial products; both facts are counted here
+    multiplicity = pr.multiplicity
+
+    def no_multiplicity(*args):
+        raise AssertionError("certify called multiplicity")
+
+    monkeypatch.setattr(pr, "multiplicity", no_multiplicity)
+    monkeypatch.setattr(kr, "multiplicity", no_multiplicity, raising=False)
+    mul = IntPoly.__mul__
+    reconstruct = kr.CycloFactorization.reconstruct
+    depth = [0]
+    products = [0]
+
+    def counting_mul(self, other):
+        products[0] += depth[0] > 0
+        return mul(self, other)
+
+    def tracked_reconstruct(self):
+        depth[0] += 1
+        try:
+            return reconstruct(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(IntPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(kr.CycloFactorization, "reconstruct", tracked_reconstruct)
+    rng = random.Random(4711)
+    checked = 0
+    for _ in range(50):
+        f = IntPoly.monomial(1, rng.choice([0, 0, 1, 3]))
+        for _ in range(rng.randint(1, 4)):
+            f = f * pr.cyclotomic(rng.randint(1, 90)) ** rng.randint(1, 2)
+        f = f * IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 5))] + [1])
+        cert = kr.certify(f)
+        fac = cert.factorization
+        assert cert.is_kronecker == fac.is_kronecker
+        assert reconstruct(fac) == f
+        e0 = fac.e0
+        g = IntPoly(f.coeffs[e0:])
+        for d in kr._small_low_ratio_indices(2, kr.excluded_set(g)):
+            assert fac.factors.get(d, 0) == multiplicity(g, pr.cyclotomic(d)), (f, d)
+            checked += 1
+    assert products[0] == 0
+    assert checked > 0
+
+
+def test_certify_still_raises_on_a_certificate_over_a_kronecker_input(monkeypatch):
+    def firing(g, k):
+        return kr.Certificate(kr.VERDICT_NON_KRONECKER, kr.REASON_ODD_IDENTITY, k=k)
+
+    monkeypatch.setattr(kr, "odd_identity_check", firing)
+    with pytest.raises(InvariantError):
+        kr.certify(pr.cyclotomic(10) * pr.cyclotomic(12))
+
+
+def test_certify_still_checks_the_reconstruction(monkeypatch):
+    factor = kr.factor_kronecker
+
+    def off_by_one(f):
+        fac = factor(f)
+        return kr.CycloFactorization(fac.e0, {**fac.factors, 3: fac.factors.get(3, 0) + 1}, fac.remainder)
+
+    monkeypatch.setattr(kr, "factor_kronecker", off_by_one)
+    with pytest.raises(InvariantError):
+        kr.certify(pr.cyclotomic(10) * pr.cyclotomic(12))
+
+
+_huge = st.one_of(st.integers(-3, 3), st.integers(-(10 ** 30), 10 ** 30))
+
+
+@st.composite
+def _certify_inputs(draw):
+    coeffs = draw(st.lists(_huge, max_size=31))
+    if coeffs and draw(st.booleans()):
+        coeffs[-1] = 1
+        for d in draw(st.lists(st.integers(1, 40), max_size=3)):
+            f = IntPoly(coeffs) * pr.cyclotomic(d)
+            if f.degree > 30:
+                break
+            coeffs = list(f.coeffs)
+    return IntPoly(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certify_inputs())
+def test_certify_refuses_or_decides(f):
+    try:
+        cert = kr.certify(f)
+    except InputError:
+        assert not f.is_monic()
+        return
+    assert f.degree <= 30
+    assert cert.factorization.reconstruct() == f
+    assert cert.is_kronecker == cert.factorization.is_kronecker
