@@ -58,7 +58,6 @@ from .kronecker import (
     stirling_logderiv_sum,
 )
 from .numtheory import (
-    FactoredInt,
     alpha,
     dedekind_psi,
     euler_phi,
@@ -66,20 +65,17 @@ from .numtheory import (
     mobius,
     prime_power_value,
     ramanujan_sum,
-    ramanujan_sum_holder,
 )
 from .polyring import (
     IntPoly,
-    QuadraticInt,
     coxeter_poly,
     cyclotomic,
-    derivative,
     eval_at_root_of_unity,
-    eval_rational,
     inverse_cyclotomic,
     is_self_reciprocal,
     log_derivative_oracle,
     log_derivative_values,
+    norm_at_root_of_unity,
     parse_poly,
     poly_div_exact,
     self_reciprocal_first_derivative,

@@ -91,25 +91,12 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     out = []
-    for mults in _partitions_mult(k, k):
+    for mults in partitions_into_parts(k, range(1, k + 1)):
         vec = [0] * k
         for part, m in mults.items():
             vec[part - 1] = m
         out.append(tuple(vec))
     return tuple(sorted(out))
-
-
-def _partitions_mult(k: int, max_part: int) -> Iterator[dict[int, int]]:
-    # partitions of k into parts <= max_part, as {part: multiplicity}
-    if k == 0:
-        yield {}
-        return
-    for part in range(min(k, max_part), 0, -1):
-        for m in range(k // part, 0, -1):
-            for rest in _partitions_mult(k - m * part, part - 1):
-                d = dict(rest)
-                d[part] = m
-                yield d
 
 
 def partitions_into_parts(k: int, parts: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -140,7 +127,7 @@ def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
     if len(xs) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(xs)}")
     total = Fraction(0)
-    for mults in _partitions_mult(k, k - j + 1):
+    for mults in partitions_into_parts(k, range(1, k - j + 2)):
         if sum(mults.values()) != j:
             continue
         coeff = factorial(k)

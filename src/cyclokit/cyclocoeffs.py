@@ -6,8 +6,8 @@ the Taylor re-expansion around 1 must all agree with it exactly.
 
 The Moller sum only receives contributions from partitions whose parts j have
 mu(n/j) != 0 (any other part makes its generalized binomial vanish), so the
-enumeration runs over partitions into that restricted part set; tests check
-the equivalence against the full enumeration on small inputs.
+enumeration runs over partitions into that restricted part set; the sum
+over every partition of k lives in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -61,24 +61,6 @@ def coeff_moller(n: int, k: int) -> int:
             term *= (-1) ** lam * _binom_mu(_mu_at(n, j), lam)
             if term == 0:
                 break
-        total += term
-    return total
-
-
-def coeff_moller_full_enumeration(n: int, k: int) -> int:
-    """Reference version of coeff_moller over the unrestricted partition set."""
-    from .combinat import partitions
-
-    if k == 0:
-        return 1
-    total = 0
-    for vec in partitions(k):
-        term = 1
-        for j, lam in enumerate(vec, start=1):
-            if lam:
-                term *= (-1) ** lam * _binom_mu(_mu_at(n, j), lam)
-                if term == 0:
-                    break
         total += term
     return total
 

@@ -53,14 +53,19 @@ def sigma_k(k: int, n: int) -> Fraction:
     """sigma_k(n) = sum over the n-th roots of unity except 1 of (z - 1)^(-k).
 
     Computed by the Bernoulli/Stirling closed form
-    -(k-1)! sigma_k(n) = sum_{j=1}^{k} s(k,j) (B_j^+ / j) (n^j - 1).
+    -(k-1)! sigma_k(n) = sum_{j=1}^{k} s(k,j) (B_j^+ / j) (n^j - 1), which is
+    sum_{j=0}^{k} c_{k,j} n^j in the coefficients of c_table(k).
     """
     if k < 1 or n < 2:
         raise InputError("sigma_k needs k >= 1 and n >= 2")
-    total = sum(
-        stirling_first(k, j) * bernoulli_plus(j) / j * (n ** j - 1) for j in range(1, k + 1)
-    )
+    total = sum(c * n ** j for j, c in enumerate(c_table(k).entries))
     return -total / factorial(k - 1)
+
+
+def _jordan_sum(k: int, m: int) -> Fraction:
+    # sum_{j=1}^{k} c_{k,j} J_j(m), the Bernoulli-Stirling form of both values at +-1
+    c = c_table(k).entries
+    return sum(c[j] * jordan_totient(j, m) for j in range(1, k + 1))
 
 
 def log_deriv_phi_at_zero(n: int, k: int) -> Fraction:
@@ -78,10 +83,7 @@ def log_deriv_phi_at_one(n: int, k: int) -> Fraction:
         raise DomainError(f"Phi_{n}(1) vanishes or is out of range; need n >= 2")
     if k < 1:
         raise InputError("order k must be >= 1")
-    return sum(
-        bernoulli_plus(j) * stirling_first(k, j) / j * jordan_totient(j, n)
-        for j in range(1, k + 1)
-    )
+    return _jordan_sum(k, n)
 
 
 def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
@@ -90,12 +92,7 @@ def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
         raise PoleError("Phi_2(-1) = 0")
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
-    na = n_alpha(n)
-    s = sum(
-        bernoulli_plus(j) * stirling_first(k, j) / j * jordan_totient(j, na)
-        for j in range(1, k + 1)
-    )
-    return (-1) ** k * s
+    return (-1) ** k * _jordan_sum(k, n_alpha(n))
 
 
 def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
@@ -192,10 +189,7 @@ def log_deriv_inverse_cyclo_at_minus_one(n: int, k: int) -> Fraction:
         raise InputError("need odd n >= 3")
     if k < 1:
         raise InputError("order k must be >= 1")
-    s = sum(
-        bernoulli_plus(j) * stirling_first(k, j) * (2 ** j - 1) / j
-        * (n ** j - jordan_totient(j, n))
-        for j in range(1, k + 1)
-    )
+    c = c_table(k).entries
+    s = sum(c[j] * (2 ** j - 1) * (n ** j - jordan_totient(j, n)) for j in range(1, k + 1))
     return (-1) ** k * s
 

@@ -48,8 +48,8 @@ from .polyring import (
     IntPoly,
     cyclotomic,
     cyclotomic_value,
-    eval_at_root_of_unity,
     log_derivative_values,
+    norm_at_root_of_unity,
     poly_div_exact,
 )
 
@@ -398,7 +398,7 @@ def excluded_set(f: IntPoly) -> ExcludedIndices:
         if any(divides[d] for d in range(1, m + 1)):
             skipped.append(m)
             continue
-        norm2 = eval_at_root_of_unity(f, m).norm_squared()
+        norm2 = norm_at_root_of_unity(f, m)
         if norm2 == 0:
             raise InvariantError(f"norm vanished at m={m} despite divisor check")
         allowed = frozenset(q for q in primes if norm2 % (q * q) == 0)

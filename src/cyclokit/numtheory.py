@@ -9,9 +9,8 @@ the caches only ever grow, so concurrent readers are safe under the GIL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import InputError
@@ -69,26 +68,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class FactoredInt:
-    """A positive integer together with its prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "FactoredInt":
-        return cls(n, factorize(n))
-
-    def __post_init__(self):
-        prod = reduce(lambda a, pe: a * pe[0] ** pe[1], self.factors, 1)
-        if prod != self.value or any(e < 1 for _, e in self.factors):
-            raise InputError(f"inconsistent factorization for {self.value}")
-        ps = [p for p, _ in self.factors]
-        if ps != sorted(set(ps)):
-            raise InputError("primes must be strictly increasing")
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -176,15 +155,6 @@ def ramanujan_sum(k: int, n: int) -> int:
         raise InputError(f"k must be >= 0, got {k}")
     g = n if k == 0 else gcd(n, k)
     return sum(mobius(n // d) * d for d in divisors(g))
-
-
-@lru_cache(maxsize=None)
-def ramanujan_sum_holder(k: int, n: int) -> int:
-    """Ramanujan sum in closed form mu(n/(n,k)) * phi(n) / phi(n/(n,k))."""
-    _check_positive(k, "k")
-    _check_positive(n)
-    m = n // gcd(n, k)
-    return mobius(m) * euler_phi(n) // euler_phi(m)
 
 
 def alpha(n: int) -> Fraction:

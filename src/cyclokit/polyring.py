@@ -5,8 +5,9 @@ trailing zeros; the zero polynomial is the empty tuple.  So x^2 - x + 1 is
 IntPoly((1, -1, 1)).  Multiplication iterates the sparser operand on the
 outside, which matters for fewnomials like the semigroup polynomials.
 
-Evaluations at the roots of unity zeta_m for m in {1, 2, 3, 4, 6} stay exact
-in the quadratic ring Z[zeta_m] with basis {1, zeta_m}; no other m is needed.
+A value at a root of unity zeta_m for m in {1, 2, 3, 4, 6} is the pair of
+integers (a, b) with f(zeta_m) = a + b*zeta_m, reached by the trace recurrence
+zeta_m^2 = t zeta_m - 1 with t = 2 cos(2 pi / m); no other m is needed.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class IntPoly:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction and QuadraticInt points."""
+        """Horner evaluation; works for int and Fraction points."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -293,15 +294,6 @@ def coxeter_poly(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def eval_rational(f: IntPoly, x: Fraction | int) -> Fraction:
-    """Exact Horner evaluation at a rational point."""
-    return Fraction(f(Fraction(x)))
-
-
-def derivative(f: IntPoly, k: int) -> IntPoly:
-    return f.derivative(k)
-
-
 def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fraction]:
     """The first K logarithmic derivatives of f at x, exactly.
 
@@ -377,113 +369,33 @@ def self_reciprocal_first_derivative(f: IntPoly, point: int) -> Fraction:
     return Fraction(-f(-1) * d, 2)
 
 
-class QuadraticInt:
-    """Exact element a + b*zeta_m of Z[zeta_m] for m in {1, 2, 3, 4, 6}.
-
-    For m in {1, 2} the root is rational and b is folded into a.
-    """
-
-    __slots__ = ("m", "a", "b")
-
-    def __init__(self, m: int, a: int, b: int = 0):
-        if m not in (1, 2, 3, 4, 6):
-            raise InputError(f"supported orders are 1, 2, 3, 4, 6; got {m}")
-        if m == 1:
-            a, b = a + b, 0
-        elif m == 2:
-            a, b = a - b, 0
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticInt is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return QuadraticInt(self.m, other)
-        if isinstance(other, QuadraticInt) and other.m == self.m:
-            return other
-        return NotImplemented  # mixed root orders do not mix
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return o is not NotImplemented and (self.a, self.b) == (o.a, o.b)
-
-    def __hash__(self):
-        return hash((self.m, self.a, self.b))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticInt(self.m, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticInt(self.m, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
-        m = self.m
-        ac, bd = a * c, b * d
-        cross = a * d + b * c
-        if m in (1, 2):
-            return QuadraticInt(m, ac)
-        if m == 3:  # zeta^2 = -1 - zeta
-            return QuadraticInt(m, ac - bd, cross - bd)
-        if m == 4:  # zeta^2 = -1
-            return QuadraticInt(m, ac - bd, cross)
-        return QuadraticInt(m, ac - bd, cross + bd)  # m == 6: zeta^2 = zeta - 1
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def norm_squared(self) -> int:
-        """|a + b*zeta_m|^2 as an exact non-negative integer."""
-        a, b, m = self.a, self.b, self.m
-        if m in (1, 2):
-            return a * a
-        if m == 3:
-            return a * a - a * b + b * b
-        if m == 4:
-            return a * a + b * b
-        return a * a + a * b + b * b
-
-    def __repr__(self):
-        return f"QuadraticInt(m={self.m}, {self.a} + {self.b}*zeta)"
+# t = zeta_m + 1/zeta_m = 2 cos(2 pi / m), so zeta_m^2 = t zeta_m - 1
+_TRACE = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
-def zeta(m: int) -> QuadraticInt:
-    return QuadraticInt(m, 0, 1)
-
-
-def eval_at_root_of_unity(f: IntPoly, m: int) -> QuadraticInt:
-    """Exact f(zeta_m) in Z[zeta_m] for m in {1, 2, 3, 4, 6}.
+def eval_at_root_of_unity(f: IntPoly, m: int) -> tuple[int, int]:
+    """The integers (a, b) with f(zeta_m) = a + b*zeta_m, for m in {1, 2, 3, 4, 6}.
 
     Since zeta_m^m = 1, f(zeta_m) = sum_r S_r zeta_m^r with the residue-class
-    sums S_r = f.coeffs[r] + f.coeffs[r + m] + ...; only the m powers
-    zeta_m^r are reduced in the basis {1, zeta_m}.
+    sums S_r = f.coeffs[r] + f.coeffs[r + m] + ...; Horner over the S_r needs
+    only zeta_m^2 = t zeta_m - 1.  For m <= 2 the root t/2 is rational and b
+    is folded into a, so b = 0.
     """
-    z = zeta(m)
-    power = QuadraticInt(m, 1)
-    acc = QuadraticInt(m, 0)
-    for r in range(m):
-        acc = acc + power * sum(f.coeffs[r::m])
-        power = power * z
-    return acc
+    if m not in _TRACE:
+        raise InputError(f"supported orders are 1, 2, 3, 4, 6; got {m}")
+    t = _TRACE[m]
+    a = b = 0
+    for r in range(m - 1, -1, -1):
+        a, b = sum(f.coeffs[r::m]) - b, a + t * b
+    if m <= 2:
+        return a + t // 2 * b, 0
+    return a, b
+
+
+def norm_at_root_of_unity(f: IntPoly, m: int) -> int:
+    """|f(zeta_m)|^2 = a^2 + t a b + b^2 for m in {1, 2, 3, 4, 6}, exactly."""
+    a, b = eval_at_root_of_unity(f, m)
+    return a * a + _TRACE[m] * a * b + b * b
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +450,8 @@ def parse_poly(text: str) -> IntPoly:
         return IntPoly(coeffs)
     compact = s.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(terms) != compact:
+        raise InputError(f"stray sign in {compact!r}")
     coeffs: dict[int, int] = {}
     for pos, term in enumerate(terms):
         mt = _TERM_RE.match(term)

@@ -1,12 +1,15 @@
-"""The benchmark's tracer resolves library names by getattr at run time, so a
-rename or removal in src/ would only show in a traced run; these checks make
-it fail here instead."""
+"""The benchmark's tracer and workloads resolve library names at run time, so a
+rename or removal in src/ would only show as failed benchmark ops; these
+checks make it fail here instead."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _load_tracing():
@@ -29,3 +32,51 @@ def test_gauge_hooks_resolve():
 
     assert callable(polyring.cyclotomic.cache_info)
     assert len(numtheory.totient_sieve(0)) >= 1
+
+
+def _workload_library_names():
+    # (module, name) for every lib.<module>.<name> read in a workload, where
+    # lib is ctx.lib or a local alias of it, and for every name read through
+    # a local alias of ctx.lib.<module>
+    names = set()
+    for func in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        lib_aliases, module_aliases = set(), {}
+
+        def is_lib(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "lib") or (
+                isinstance(node, ast.Name) and node.id in lib_aliases
+            )
+
+        def module_of(node):
+            if isinstance(node, ast.Attribute) and is_lib(node.value):
+                return node.attr
+            if isinstance(node, ast.Name):
+                return module_aliases.get(node.id)
+            return None
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    if is_lib(node.value):
+                        lib_aliases.add(target.id)
+                    elif module_of(node.value):
+                        module_aliases[target.id] = module_of(node.value)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and module_of(node.value):
+                names.add((module_of(node.value), node.attr))
+    return names
+
+
+def test_workload_library_names_resolve():
+    names = _workload_library_names()
+    # one name read by each of the three forms, so the walk cannot go blind
+    assert {
+        ("kronecker", "certify"),
+        ("cycloderiv", "phi_derivs_at_one_recurrence"),
+        ("semigroup", "from_generators"),
+    } <= names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(f"cyclokit.{module}"), name), f"{module}.{name}"

@@ -94,6 +94,13 @@ def test_kronecker_commands(capsys):
     assert code == 2
 
 
+def test_stray_signs_exit_2(capsys):
+    for text in ("x--1", "x-+1", "x-", "x+", "++x"):
+        code, out, err = run(capsys, "kronecker", "certify", "--poly", text)
+        assert code == 2 and out == ""
+        assert "stray sign" in err and "Traceback" not in err
+
+
 def test_kronecker_file_input(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     path.write_text("x^4 + x^3 - x - 1\n")  # Psi_6, a Kronecker polynomial

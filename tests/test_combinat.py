@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -172,6 +173,13 @@ def test_bell_complete_values():
 def test_bell_complete_equals_sum_of_partials(k, xs):
     total = sum(cb.bell_partial(k, j, xs) for j in range(1, k + 1))
     assert cb.bell_complete(k, xs) == total
+
+
+def test_bell_partials_sum_to_complete_seeded():
+    rng = random.Random(20261018)
+    for k in range(1, 11):
+        xs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(k)]
+        assert sum(cb.bell_partial(k, j, xs) for j in range(1, k + 1)) == cb.bell_complete(k, xs)
 
 
 def test_exp_transform():

@@ -4,6 +4,7 @@ import pytest
 
 from cyclokit import cyclocoeffs as cc
 from cyclokit import numtheory as nt
+from cyclokit.combinat import partitions
 from cyclokit.errors import InputError, ResourceError
 
 
@@ -24,10 +25,27 @@ def test_coeff_moller():
         assert cc.coeff_moller(n, 2) == (mu1 * mu1 - mu1 - 2 * mu2) // 2
 
 
+def _coeff_moller_full_enumeration(n, k):
+    # the Moller sum over every partition of k, not only those into parts j
+    # with mu(n/j) != 0
+    if k == 0:
+        return 1
+    total = 0
+    for vec in partitions(k):
+        term = 1
+        for j, lam in enumerate(vec, start=1):
+            if lam:
+                term *= (-1) ** lam * cc._binom_mu(cc._mu_at(n, j), lam)
+                if term == 0:
+                    break
+        total += term
+    return total
+
+
 def test_coeff_moller_matches_full_enumeration():
     for n in range(1, 31):
         for k in range(0, 11):
-            assert cc.coeff_moller(n, k) == cc.coeff_moller_full_enumeration(n, k)
+            assert cc.coeff_moller(n, k) == _coeff_moller_full_enumeration(n, k)
 
 
 def test_coeff_prefix_recurrence():

@@ -106,13 +106,14 @@ def test_fk_at_third_root_of_unity():
     # f_k(zeta_3) is 4, -2 zeta_3 or zeta_3^(-1) = -1 - zeta_3 according to
     # k mod 3; the norms 16, 4, 1 drive the exclusion of 3 p^j divisors
     for k in range(1, 31):
-        v = pr.eval_at_root_of_unity(sg.fk_poly(k), 3)
+        f = sg.fk_poly(k)
+        v, norm = pr.eval_at_root_of_unity(f, 3), pr.norm_at_root_of_unity(f, 3)
         if k % 3 == 0:
-            assert v == pr.QuadraticInt(3, 4, 0) and v.norm_squared() == 16
+            assert v == (4, 0) and norm == 16
         elif k % 3 == 1:
-            assert v == pr.QuadraticInt(3, 0, -2) and v.norm_squared() == 4
+            assert v == (0, -2) and norm == 4
         else:
-            assert v == pr.QuadraticInt(3, -1, -1) and v.norm_squared() == 1
+            assert v == (-1, -1) and norm == 1
 
 
 def test_fk_no_other_cyclotomic_factors():
