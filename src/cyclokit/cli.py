@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -280,8 +281,17 @@ def _cmd_tables(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes a token that starts with "-" for an option unless it looks
+    # like -12 or -1.5; values such as --at -1/3 and --xs -3/5,-4/2 need the
+    # wider test that Python 3.13's argparse applies
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="cyclokit", description=__doc__)
+    top = _Parser(prog="cyclokit", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -116,11 +116,16 @@ def coeff_taylor_from_one(n: int, k: int, cap: int = TAYLOR_FROM_ONE_CAP) -> int
 def coeff_all_methods(n: int, k: int, include_taylor: bool = False) -> int:
     """All implemented routes to a_n(k); raises InvariantError on disagreement."""
     direct = coeff_direct(n, k)
-    got = {
-        "moller": coeff_moller(n, k),
-        "recurrence": coeff_prefix_recurrence(n, k)[k],
-        "bell": coeff_bell(n, k),
-    }
+    if n == 1:
+        # Moller's product prod (1 - x^d)^mu(n/d) is 1 - x = -Phi_1 here, and
+        # the recurrence and the Bell form hold for n >= 2 only
+        got = {"moller": -coeff_moller(n, k)}
+    else:
+        got = {
+            "moller": coeff_moller(n, k),
+            "recurrence": coeff_prefix_recurrence(n, k)[k],
+            "bell": coeff_bell(n, k),
+        }
     if include_taylor:
         got["taylor1"] = coeff_taylor_from_one(n, k)
     bad = {name: v for name, v in got.items() if v != direct}

@@ -5,7 +5,11 @@ checks make it fail here instead."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import cyclokit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -16,6 +20,18 @@ def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _load_workloads():
+    # workloads.py imports the harness's reference module by its bare name
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
@@ -80,3 +96,18 @@ def test_workload_library_names_resolve():
     } <= names
     for module, name in sorted(names):
         assert hasattr(importlib.import_module(f"cyclokit.{module}"), name), f"{module}.{name}"
+
+
+def test_semigroup_census_checker_accepts_library_outputs():
+    # the benchmark's exact checks (sorted minimal generators, dataclass
+    # equality of the round trip, the symmetry flag) on the warm-up specs and
+    # the first cycle of the seed-1 pool, which holds every op kind
+    workload = _load_workloads().WORKLOADS["semigroup_census"]
+    pool = workload.pool(1)
+    specs = workload.warmup(1) + pool[: len(pool) // workload.CYCLES]
+    assert {spec["op"] for spec in specs} == {"census", "cyclotomic", "frobenius", "fk"}
+    ctx = SimpleNamespace(lib=cyclokit)
+    for spec in specs:
+        out = workload.run(ctx, spec)
+        assert workload.check(spec, out), spec
+        assert not workload.check(spec, workload.corrupt(out)), spec

@@ -43,6 +43,31 @@ def test_coeff_all(capsys):
     assert out == "-1"
 
 
+def test_coeff_all_at_n_1(capsys):
+    for k in range(4):
+        code, out, _ = run(capsys, "coeff", "1", str(k))
+        assert code == 0
+        assert run(capsys, "coeff", "1", str(k), "--method", "all") == (
+            0,
+            f"{out}\nall methods agree",
+            "",
+        )
+
+
+def test_negative_rational_option_values(capsys):
+    # "--at -1/3" reads as "--at=-1/3", byte for byte
+    for argv, value in (
+        (["logderiv", "phi", "5", "--order", "2", "--at"], "-1/3"),
+        (["logderiv", "poly", "--poly", "x^3 - 2", "--order", "1", "--at"], "-.5"),
+        (["bellpoly", "partial", "2", "1", "--xs"], "-3/5,-4/2"),
+        (["bellpoly", "complete", "3", "--xs"], "-1,2,-1/7"),
+    ):
+        split = main(argv + [value]), capsys.readouterr()
+        joined = main(argv[:-1] + [f"{argv[-1]}={value}"]), capsys.readouterr()
+        assert split[0] == joined[0] == 0
+        assert split[1].out == joined[1].out and split[1].out
+
+
 def test_scalar_commands(capsys):
     assert run(capsys, "ramanujan", "2", "4")[1] == "-2"
     assert run(capsys, "jordan", "2", "6")[1] == "24"

@@ -1,3 +1,8 @@
+import random
+import re
+from functools import lru_cache
+from math import gcd
+
 import pytest
 
 from cyclokit import polyring as pr
@@ -59,6 +64,117 @@ def test_is_symmetric():
     assert sg.is_symmetric(sg.from_generators([2, 3]))
     assert not sg.is_symmetric(sg.from_generators([3, 4, 5]))
     assert sg.is_symmetric(sg.from_generators([5, 6, 7, 8]))
+    assert not sg.is_symmetric(sg.from_generators([1]))
+
+
+@lru_cache(maxsize=None)
+def _random_gap_sets():
+    rng = random.Random(1101)
+    out = []
+    for _ in range(20000):
+        F = rng.randint(1, 25)
+        out.append(frozenset(x for x in range(1, F) if rng.random() < rng.random()) | {F})
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _random_generator_sets():
+    rng = random.Random(1102)
+    out = []
+    while len(out) < 5000:
+        m = rng.randint(1, 30)
+        gens = tuple(rng.randint(m, 3 * m + 5) for _ in range(rng.randint(1, 5)))
+        if gcd(*gens) == 1:
+            out.append(gens)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pairwise_closure_witness(gap_set):
+    # the O(F^2) test: the first non-gaps x <= y whose sum is a gap, or None
+    F = max(gap_set)
+    member = lambda x: x >= 0 and x not in gap_set
+    for x in range(1, F + 1):
+        if member(x):
+            for y in range(x, F - x + 1):
+                if member(y) and not member(x + y):
+                    return x, y
+    return None
+
+
+def _assert_closure_witness(message, gap_set):
+    found = re.fullmatch(r"complement not closed: (\d+) \+ (\d+) hits gap (\d+)", message)
+    x, y, z = map(int, found.groups())
+    assert x not in gap_set and y not in gap_set
+    assert z == x + y and z in gap_set
+
+
+def _minimal_by_subset_sums(gens):
+    # g is a minimal generator iff it is not a sum of the other generators
+    out = []
+    for g in sorted(set(gens)):
+        others = [h for h in set(gens) if h != g]
+        reach = [True] + [False] * g
+        for h in others:
+            for x in range(h, g + 1):
+                reach[x] = reach[x] or reach[x - h]
+        if not reach[g]:
+            out.append(g)
+    return tuple(out)
+
+
+def test_from_gaps_rejections():
+    with pytest.raises(InputError, match=r"^complement not closed: 1 \+ 1 hits gap 2$"):
+        sg.from_gaps([2, 4, 5, 7])  # upward closure: 1 is in S, 2 is not
+    with pytest.raises(InputError, match=r"^complement not closed: 4 \+ 4 hits gap 8$"):
+        sg.from_gaps([1, 2, 5, 8])  # closed upwards, but w_1 + w_1 < w_2
+    with pytest.raises(InputError):
+        sg.from_gaps([0, 1])
+
+
+def test_from_gaps_matches_pairwise_closure():
+    rejected = 0
+    for gap_set in _random_gap_sets():
+        witness = _pairwise_closure_witness(gap_set)
+        if witness is None:
+            S = sg.from_gaps(gap_set)
+            assert S.gaps == tuple(sorted(gap_set))
+            assert S.frobenius == max(gap_set) and S.genus == len(gap_set)
+            assert S.multiplicity == min(x for x in range(1, S.frobenius + 2) if x not in gap_set)
+        else:
+            rejected += 1
+            with pytest.raises(InputError) as exc:
+                sg.from_gaps(gap_set)
+            _assert_closure_witness(str(exc.value), gap_set)
+    assert 0 < rejected < len(_random_gap_sets())
+
+
+def test_minimal_generators_match_subset_sums():
+    for gens in _random_generator_sets():
+        S = sg.from_generators(gens)
+        assert S.minimal_generators == _minimal_by_subset_sums(gens)
+        assert sg.from_gaps(S.gaps) == S
+
+
+def test_symmetry_characterizations_agree():
+    # x in S iff F - x is a gap, and P_S self-reciprocal, against the genus test
+    accepted = [gs for gs in _random_gap_sets() if _pairwise_closure_witness(gs) is None]
+    semigroups = [sg.from_gaps(gs) for gs in accepted]
+    semigroups += [sg.from_generators(gens) for gens in _random_generator_sets()]
+    seen = set()
+    for S in semigroups:
+        F, gap_set = S.frobenius, set(S.gaps)
+        pairing = F >= 0 and all((x in gap_set) != (F - x in gap_set) for x in range(F + 1))
+        reciprocal = F >= 0 and pr.is_self_reciprocal(sg.semigroup_polynomial(S))
+        assert sg.is_symmetric(S) == pairing == reciprocal
+        seen.add(pairing)
+    assert seen == {True, False}
+
+
+def test_large_frobenius_round_trip():
+    S = sg.from_generators([187, 200, 290, 301])
+    assert S.frobenius == 3058
+    assert sg.from_gaps(S.gaps) == S
 
 
 def test_semigroup_polynomial():
