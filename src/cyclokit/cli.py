@@ -27,9 +27,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-PHI_DEGREE_GUARDRAIL = 10 ** 6
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -55,7 +52,7 @@ def _read_poly(args) -> IntPoly:
 
 def _cmd_phi(args):
     phi_n = numtheory.euler_phi(args.n)
-    if phi_n > PHI_DEGREE_GUARDRAIL and not args.force:
+    if phi_n > polyring.DEGREE_GUARDRAIL and not args.force:
         from .errors import ResourceError
 
         raise ResourceError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InputError
@@ -139,6 +139,14 @@ def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
     return total
 
 
+def _bell_row(k: int, xs: Sequence[Rational]) -> list[Rational]:
+    # B_0, ..., B_k by the binomial recurrence B_m = sum_j C(m-1, j-1) B_(m-j) x_j
+    b: list[Rational] = [1]
+    for m in range(1, k + 1):
+        b.append(sum(comb(m - 1, j - 1) * b[m - j] * xs[j - 1] for j in range(1, m + 1)))
+    return b
+
+
 def bell_complete(k: int, xs: Sequence[Rational]) -> Rational:
     """Complete Bell polynomial B_k via the binomial recurrence; B_0 = 1.
 
@@ -148,19 +156,20 @@ def bell_complete(k: int, xs: Sequence[Rational]) -> Rational:
         raise InputError(f"k must be >= 0, got {k}")
     if len(xs) < k:
         raise InputError(f"need at least {k} arguments, got {len(xs)}")
-    b: list[Rational] = [1]
-    for m in range(1, k + 1):
-        b.append(sum(comb(m - 1, j - 1) * b[m - j] * xs[j - 1] for j in range(1, m + 1)))
-    return b[k]
+    return _bell_row(k, xs)[k]
 
 
 def exp_transform(logderivs: Sequence[Rational], base: Rational) -> list[Fraction]:
     """Derivatives of h from derivatives of log h at a point.
 
     Given ((log h)'(x), ..., (log h)^(K)(x)) and base = h(x) != 0, returns
-    (h'(x), ..., h^(K)(x)) through h^(k) = h * B_k(logderivs).
+    (h'(x), ..., h^(K)(x)) through h^(k) = h * B_k(logderivs), from one Bell
+    row in integers: B_k(D x_1, D^2 x_2, ...) = D^k B_k(x) for a common denominator D.
     """
     if base == 0:
         raise DomainError("exp_transform needs a nonzero base value")
     xs = [Fraction(v) for v in logderivs]
-    return [Fraction(base) * Fraction(bell_complete(k, xs)) for k in range(1, len(xs) + 1)]
+    d = lcm(*(x.denominator for x in xs))
+    zs = [x.numerator * (d // x.denominator) * d ** j for j, x in enumerate(xs)]
+    base = Fraction(base)
+    return [base * Fraction(z, d ** k) for k, z in enumerate(_bell_row(len(zs), zs)[1:], 1)]

@@ -48,11 +48,13 @@ def _binom_mu(mu: int, lam: int) -> int:
 
 def coeff_moller(n: int, k: int) -> int:
     """Moller's partition sum: a_n(k) = sum over partitions of k of
-    prod_j (-1)^(lambda_j) C(mu(n/j), lambda_j)."""
+    prod_j (-1)^(lambda_j) C(mu(n/j), lambda_j), negated at n = 1, where the
+    product it expands, prod_{d | n} (1 - x^d)^mu(n/d), is 1 - x = -Phi_1."""
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
+    sign = -1 if n == 1 else 1
     if k == 0:
-        return 1
+        return sign
     parts = [j for j in range(1, k + 1) if _mu_at(n, j) != 0]
     total = 0
     for mults in partitions_into_parts(k, parts):
@@ -62,7 +64,7 @@ def coeff_moller(n: int, k: int) -> int:
             if term == 0:
                 break
         total += term
-    return total
+    return sign * total
 
 
 def coeff_prefix_recurrence(n: int, K: int) -> list[int]:
@@ -116,16 +118,11 @@ def coeff_taylor_from_one(n: int, k: int, cap: int = TAYLOR_FROM_ONE_CAP) -> int
 def coeff_all_methods(n: int, k: int, include_taylor: bool = False) -> int:
     """All implemented routes to a_n(k); raises InvariantError on disagreement."""
     direct = coeff_direct(n, k)
-    if n == 1:
-        # Moller's product prod (1 - x^d)^mu(n/d) is 1 - x = -Phi_1 here, and
+    got = {"moller": coeff_moller(n, k)}
+    if n >= 2:
         # the recurrence and the Bell form hold for n >= 2 only
-        got = {"moller": -coeff_moller(n, k)}
-    else:
-        got = {
-            "moller": coeff_moller(n, k),
-            "recurrence": coeff_prefix_recurrence(n, k)[k],
-            "bell": coeff_bell(n, k),
-        }
+        got["recurrence"] = coeff_prefix_recurrence(n, k)[k]
+        got["bell"] = coeff_bell(n, k)
     if include_taylor:
         got["taylor1"] = coeff_taylor_from_one(n, k)
     bad = {name: v for name, v in got.items() if v != direct}

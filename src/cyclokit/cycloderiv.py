@@ -2,8 +2,8 @@
 
 Covers the values at 0 (Ramanujan sums), at 1 (Bernoulli/Stirling/Jordan
 combinations), at -1 (the same twisted by the index multiplier alpha), the
-Bell-transform full derivatives, the derivative recurrence, the Schwarzian,
-and the inverse-cyclotomic variants.  Every function here has an independent
+full derivatives by one Bell transform, the Schwarzian, and the
+inverse-cyclotomic variants.  Every function here has an independent
 oracle counterpart in polyring.log_derivative_oracle, which reads only the
 coefficients of the polynomial (a Taylor shift to the point followed by the
 power-series logarithm recurrence), and the test suite holds the two for
@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .combinat import bernoulli_plus, exp_transform, stirling_first
 from .errors import DomainError, InputError, PoleError
-from .numtheory import euler_phi, jordan_totient, n_alpha, ramanujan_sum
-from .polyring import IntPoly, phi_value_at_one
+from .numtheory import dedekind_psi, euler_phi, jordan_totient, n_alpha, ramanujan_sum
+from .polyring import IntPoly, cyclotomic, phi_value_at_one
 
 
 @dataclass(frozen=True)
@@ -95,32 +95,24 @@ def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
     return (-1) ** k * _jordan_sum(k, n_alpha(n))
 
 
+def _phi_derivs(base: int, log_deriv, n: int, K: int) -> list[Fraction]:
+    # (h, h', ..., h^(K)) at the point from h = base and (log h)^(j) = log_deriv(n, j)
+    if K < 0:
+        raise InputError("K must be >= 0")
+    logs = [log_deriv(n, j) for j in range(1, K + 1)]
+    return [Fraction(base)] + exp_transform(logs, base)
+
+
 def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
     """(Phi_n(1), Phi_n'(1), ..., Phi_n^(K)(1)) via the Bell transform."""
     if n < 2:
         raise DomainError("need n >= 2")
-    if K < 0:
-        raise InputError("K must be >= 0")
-    base = phi_value_at_one(n)
-    logs = [log_deriv_phi_at_one(n, j) for j in range(1, K + 1)]
-    return [Fraction(base)] + exp_transform(logs, base)
+    return _phi_derivs(phi_value_at_one(n), log_deriv_phi_at_one, n, K)
 
 
-def phi_derivs_at_one_recurrence(n: int, K: int) -> list[Fraction]:
-    """Same values as phi_derivs_at_one, by the order-recurrence instead.
-
-    Phi_n^(k)(1) = sum_{j=1}^{k} C(k-1, j-1) Phi_n^(k-j)(1) (log Phi_n)^(j)(1),
-    seeded with Phi_n^(0)(1) = Phi_n(1).
-    """
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if K < 0:
-        raise InputError("K must be >= 0")
-    logs = [log_deriv_phi_at_one(n, j) for j in range(1, K + 1)]
-    out = [Fraction(phi_value_at_one(n))]
-    for k in range(1, K + 1):
-        out.append(sum(comb(k - 1, j - 1) * out[k - j] * logs[j - 1] for j in range(1, k + 1)))
-    return out
+# The order recurrence this name once ran is the one exp_transform runs now,
+# so it is an alias; it stays while perfbench's coeff_sweep workload reads it.
+phi_derivs_at_one_recurrence = phi_derivs_at_one
 
 
 def phi_derivs_at_minus_one(n: int, K: int) -> list[Fraction]:
@@ -131,21 +123,13 @@ def phi_derivs_at_minus_one(n: int, K: int) -> list[Fraction]:
     """
     if n == 2:
         raise PoleError("Phi_2(-1) = 0")
-    if K < 0:
-        raise InputError("K must be >= 0")
-    from .polyring import cyclotomic
-
-    base = cyclotomic(n)(-1)
-    logs = [log_deriv_phi_at_minus_one(n, j) for j in range(1, K + 1)]
-    return [Fraction(base)] + exp_transform(logs, base)
+    return _phi_derivs(cyclotomic(n)(-1), log_deriv_phi_at_minus_one, n, K)
 
 
 def schwarzian_phi_at_one(n: int) -> Fraction:
     """Schwarzian derivative of Phi_n at 1: -phi(n)^2/8 - Psi(n)^2/24 + 1/2."""
     if n < 2:
         raise DomainError("need n >= 2")
-    from .numtheory import dedekind_psi
-
     return (
         -Fraction(euler_phi(n) ** 2, 8)
         - Fraction(dedekind_psi(n) ** 2, 24)

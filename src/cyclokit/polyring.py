@@ -403,6 +403,9 @@ def norm_at_root_of_unity(f: IntPoly, m: int) -> int:
 
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?x(?:\^(\d+))?)?$")
 
+# largest degree the CLI builds or parses (a dense list of that length)
+DEGREE_GUARDRAIL = 10 ** 6
+
 
 def format_poly_csv(f: IntPoly) -> str:
     """Ascending coefficient list "c0,c1,...,cd"."""
@@ -464,7 +467,10 @@ def parse_poly(text: str) -> IntPoly:
         else:
             k = 0
         coeffs[k] = coeffs.get(k, 0) + sign * mag
-    out = [0] * (max(coeffs) + 1)
+    top = max(coeffs)
+    if top > DEGREE_GUARDRAIL:
+        raise InputError(f"degree {top} exceeds the guardrail {DEGREE_GUARDRAIL}")
+    out = [0] * (top + 1)
     for k, c in coeffs.items():
         out[k] = c
     return IntPoly(out)

@@ -111,3 +111,15 @@ def test_semigroup_census_checker_accepts_library_outputs():
         out = workload.run(ctx, spec)
         assert workload.check(spec, out), spec
         assert not workload.check(spec, workload.corrupt(out)), spec
+
+
+def test_coeff_sweep_checker_accepts_library_outputs():
+    # the benchmark's derivative, coefficient and closed-form checks on the
+    # warm-up specs and one cycle of the seed-1 pool (one n per phi(n) stratum)
+    workload = _load_workloads().WORKLOADS["coeff_sweep"]
+    specs = workload.warmup(1) + workload.pool(1)[: workload.STRATA]
+    ctx = SimpleNamespace(lib=cyclokit)
+    for spec in specs:
+        out = workload.run(ctx, spec)
+        assert workload.check(spec, out), spec
+        assert not workload.check(spec, workload.corrupt(out)), spec

@@ -35,6 +35,20 @@ def test_phi_guardrail(capsys):
     assert "guardrail" in err
 
 
+def test_poly_degree_guardrail(capsys):
+    code, _, err = run(capsys, "kronecker", "certify", "--poly", "x^1000001")
+    assert code == 2
+    assert "guardrail" in err
+
+
+def test_coeff_of_phi_1_by_every_method(capsys):
+    for k, want in ((0, "-1"), (1, "1"), (2, "0")):
+        for method in ("direct", "moller"):
+            assert run(capsys, "coeff", "1", str(k), "--method", method) == (0, want, "")
+        code, out, _ = run(capsys, "coeff", "1", str(k), "--method", "all")
+        assert (code, out.splitlines()) == (0, [want, "all methods agree"])
+
+
 def test_coeff_all(capsys):
     code, out, _ = run(capsys, "coeff", "105", "7", "--method", "all")
     assert code == 0

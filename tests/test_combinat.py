@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclokit import combinat as cb
@@ -180,6 +180,23 @@ def test_bell_partials_sum_to_complete_seeded():
     for k in range(1, 11):
         xs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(k)]
         assert sum(cb.bell_partial(k, j, xs) for j in range(1, k + 1)) == cb.bell_complete(k, xs)
+
+
+@settings(max_examples=80, deadline=None)
+@example([0, Fraction(-1, 3), 0, 2], Fraction(-2, 7))
+@example([], 3)
+@given(
+    st.lists(st.one_of(rationals, st.integers(-6, 6)), max_size=8),
+    st.one_of(rationals, st.integers(-9, 9)).filter(lambda b: b != 0),
+)
+def test_exp_transform_equals_partial_bell_sums(xs, base):
+    # bell_partial enumerates partitions, so it shares no code with the
+    # recurrence that exp_transform runs
+    out = cb.exp_transform(xs, base)
+    assert len(out) == len(xs)
+    for k, value in enumerate(out, 1):
+        assert isinstance(value, Fraction)
+        assert value == base * sum(cb.bell_partial(k, j, xs) for j in range(1, k + 1))
 
 
 def test_exp_transform():

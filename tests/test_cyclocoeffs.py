@@ -18,7 +18,9 @@ def test_coeff_direct():
 
 def test_coeff_moller():
     assert cc.coeff_moller(105, 7) == -2
-    for n in range(1, 80):
+    # Phi_1 = x - 1, not Moller's 1 - x
+    assert [cc.coeff_moller(1, k) for k in (0, 1, 2)] == [-1, 1, 0]
+    for n in range(2, 80):
         assert cc.coeff_moller(n, 1) == -nt.mobius(n)
         mu1 = nt.mobius(n)
         mu2 = nt.mobius(n // 2) if n % 2 == 0 else 0
@@ -27,9 +29,10 @@ def test_coeff_moller():
 
 def _coeff_moller_full_enumeration(n, k):
     # the Moller sum over every partition of k, not only those into parts j
-    # with mu(n/j) != 0
+    # with mu(n/j) != 0; it expands 1 - x = -Phi_1 at n = 1
+    sign = -1 if n == 1 else 1
     if k == 0:
-        return 1
+        return sign
     total = 0
     for vec in partitions(k):
         term = 1
@@ -39,7 +42,7 @@ def _coeff_moller_full_enumeration(n, k):
                 if term == 0:
                     break
         total += term
-    return total
+    return sign * total
 
 
 def test_coeff_moller_matches_full_enumeration():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -170,10 +170,33 @@ def test_phi_derivs_match_direct_differentiation():
                 assert mderivs[k] == f.derivative(k)(-1)
 
 
+def _derivs_oracle(n, K, x):
+    # Phi_n^(j)(x) = sum_i c_i i!/(i-j)! x^(i-j) at x = +-1, from the coefficients
+    coeffs = pr.cyclotomic(n).coeffs
+    return [
+        sum(coeffs[i] * perm(i, j) * x ** (i - j) for i in range(j, len(coeffs)))
+        for j in range(K + 1)
+    ]
+
+
+def test_phi_derivs_match_coefficient_oracle():
+    for n in range(1, 300):
+        if n >= 2:
+            assert cd.phi_derivs_at_one(n, 12) == _derivs_oracle(n, 12, 1)
+        if n != 2:
+            assert cd.phi_derivs_at_minus_one(n, 12) == _derivs_oracle(n, 12, -1)
+    for n in range(3, 40):
+        for K in range(12):
+            assert cd.phi_derivs_at_one(n, K) == _derivs_oracle(n, K, 1)
+            assert cd.phi_derivs_at_minus_one(n, K) == _derivs_oracle(n, K, -1)
+
+
 def test_phi_derivs_recurrence_agrees():
+    # the recurrence name is an alias kept for the benchmark, not a second route
+    assert cd.phi_derivs_at_one_recurrence is cd.phi_derivs_at_one
     for n in range(2, 31):
         for K in (0, 1, 4, 6):
-            assert cd.phi_derivs_at_one_recurrence(n, K) == cd.phi_derivs_at_one(n, K)
+            assert cd.phi_derivs_at_one_recurrence(n, K) == _derivs_oracle(n, K, 1)
 
 
 def test_phi_derivs_at_minus_one():

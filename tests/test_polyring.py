@@ -416,6 +416,13 @@ def test_parse_errors_have_positions():
         pr.parse_poly("")
 
 
+def test_parse_degree_guardrail():
+    # refused from the exponent, before the dense list is allocated
+    assert pr.parse_poly("x^1000000 + 1").degree == pr.DEGREE_GUARDRAIL == 10 ** 6
+    with pytest.raises(InputError, match="guardrail"):
+        pr.parse_poly("x^1000001")
+
+
 def test_parse_rejects_stray_signs():
     for text in ("x--1", "x-+1", "x-", "x+", "++x", "x^2 - - x"):
         with pytest.raises(InputError, match="stray sign"):
