@@ -42,8 +42,12 @@ def _read_poly(args) -> IntPoly:
     if getattr(args, "poly", None):
         return polyring.parse_poly(args.poly)
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return polyring.parse_poly(fh.read())
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.file!r}: {exc}") from None
+        return polyring.parse_poly(text)
     raise InputError("provide a polynomial with --poly or --file")
 
 

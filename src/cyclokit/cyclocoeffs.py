@@ -5,9 +5,10 @@ partition sum, the Grytczuk-Tropak prefix recurrence, the Bell form at 0 and
 the Taylor re-expansion around 1 must all agree with it exactly.
 
 The Moller sum only receives contributions from partitions whose parts j have
-mu(n/j) != 0 (any other part makes its generalized binomial vanish), so the
-enumeration runs over partitions into that restricted part set; the sum
-over every partition of k lives in the tests as the reference.
+mu(n/j) != 0 and that use each part with mu(n/j) = +1 at most once (any other
+factor is a generalized binomial that vanishes), so the enumeration runs over
+those partitions alone; the sum over every partition of k lives in the tests
+as the reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .combinat import bell_complete, partitions_into_parts
+from .combinat import bell_complete
 from .cycloderiv import phi_derivs_at_one
 from .errors import InputError, InvariantError, ResourceError
 from .numtheory import euler_phi, mobius, ramanujan_sum
@@ -37,34 +38,40 @@ def _mu_at(n: int, j: int) -> int:
     return mobius(n // j) if n % j == 0 else 0
 
 
-def _binom_mu(mu: int, lam: int) -> int:
-    # generalized binomial C(mu, lam) for mu in {-1, 0, 1}
-    if lam == 0:
-        return 1
-    if lam == 1:
-        return mu
-    return (-1) ** lam * (mu * (mu - 1)) // 2
-
-
 def coeff_moller(n: int, k: int) -> int:
     """Moller's partition sum: a_n(k) = sum over partitions of k of
     prod_j (-1)^(lambda_j) C(mu(n/j), lambda_j), negated at n = 1, where the
-    product it expands, prod_{d | n} (1 - x^d)^mu(n/d), is 1 - x = -Phi_1."""
+    product it expands, prod_{d | n} (1 - x^d)^mu(n/d), is 1 - x = -Phi_1.
+
+    A part j contributes (-1)^lambda C(-1, lambda) = 1 when mu(n/j) = -1 and
+    -1 when mu(n/j) = +1 and lambda = 1; every other factor vanishes.  So only
+    the partitions into parts with mu(n/j) != 0 that use each mu(n/j) = +1
+    part at most once are enumerated, each counted as (-1)^(its mu = +1 parts).
+    """
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
     sign = -1 if n == 1 else 1
     if k == 0:
         return sign
-    parts = [j for j in range(1, k + 1) if _mu_at(n, j) != 0]
-    total = 0
-    for mults in partitions_into_parts(k, parts):
-        term = 1
-        for j, lam in mults.items():
-            term *= (-1) ** lam * _binom_mu(_mu_at(n, j), lam)
-            if term == 0:
-                break
-        total += term
-    return sign * total
+    # distinct parts, largest first, with mu(n/j) = +1 or -1
+    parts = [(j, mu) for j in range(k, 0, -1) if (mu := _mu_at(n, j))]
+    last = len(parts) - 1
+
+    def signed_count(rem: int, i: int) -> int:
+        # sum of (-1)^(mu = +1 parts) over the partitions of rem into parts[i:]
+        if rem == 0:
+            return 1
+        j, mu = parts[i]
+        if i == last:
+            if mu == 1:
+                return -1 if rem == j else 0
+            return 0 if rem % j else 1
+        if mu == 1:
+            out = signed_count(rem, i + 1)
+            return out - signed_count(rem - j, i + 1) if j <= rem else out
+        return sum(signed_count(r, i + 1) for r in range(rem, -1, -j))
+
+    return sign * signed_count(k, 0) if parts else 0
 
 
 def coeff_prefix_recurrence(n: int, K: int) -> list[int]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .combinat import bernoulli_plus, exp_transform, stirling_first
 from .errors import DomainError, InputError, PoleError
@@ -29,12 +30,20 @@ from .polyring import IntPoly, cyclotomic, phi_value_at_one
 class CTable:
     """Row k of the sigma-polynomial coefficient table.
 
-    entries[j] = c_{k,j} with c_{k,j} = B_j^+ s(k,j) / j for j >= 1 and
+    c_{k,j} = nums[j] / den, where c_{k,j} = B_j^+ s(k,j) / j for j >= 1 and
     c_{k,0} = -sum of the others, so that -(k-1)! sigma_k(n) = sum c_{k,j} n^j.
+    Kept as integer numerators over the common denominator den, so that every
+    sum over the row is one integer dot product and one division.
     """
 
     k: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row as rationals (c_{k,0}, ..., c_{k,k})."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +51,9 @@ def c_table(k: int) -> CTable:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     tail = [bernoulli_plus(j) * stirling_first(k, j) / j for j in range(1, k + 1)]
-    return CTable(k, (-sum(tail),) + tuple(tail))
+    den = lcm(*(c.denominator for c in tail))
+    nums = [c.numerator * (den // c.denominator) for c in tail]
+    return CTable(k, (-sum(nums),) + tuple(nums), den)
 
 
 def c_coefficient(k: int, j: int) -> Fraction:
@@ -58,14 +69,20 @@ def sigma_k(k: int, n: int) -> Fraction:
     """
     if k < 1 or n < 2:
         raise InputError("sigma_k needs k >= 1 and n >= 2")
-    total = sum(c * n ** j for j, c in enumerate(c_table(k).entries))
-    return -total / factorial(k - 1)
+    row = c_table(k)
+    total = sum(c * n ** j for j, c in enumerate(row.nums))
+    return Fraction(-total, row.den * factorial(k - 1))
 
 
-def _jordan_sum(k: int, m: int) -> Fraction:
-    # sum_{j=1}^{k} c_{k,j} J_j(m), the Bernoulli-Stirling form of both values at +-1
-    c = c_table(k).entries
-    return sum(c[j] * jordan_totient(j, m) for j in range(1, k + 1))
+def _jordan_totients(K: int, m: int) -> list[int]:
+    return [jordan_totient(j, m) for j in range(1, K + 1)]
+
+
+def _jordan_sum(k: int, js: list[int], sign: int) -> Fraction:
+    # sign^k sum_{j=1}^{k} c_{k,j} J_j(m) for js = [J_1(m), J_2(m), ...], the
+    # Bernoulli-Stirling form of the values at sign = +-1
+    row = c_table(k)
+    return Fraction(sign ** k * sum(map(mul, row.nums[1:], js)), row.den)
 
 
 def log_deriv_phi_at_zero(n: int, k: int) -> Fraction:
@@ -83,7 +100,7 @@ def log_deriv_phi_at_one(n: int, k: int) -> Fraction:
         raise DomainError(f"Phi_{n}(1) vanishes or is out of range; need n >= 2")
     if k < 1:
         raise InputError("order k must be >= 1")
-    return _jordan_sum(k, n)
+    return _jordan_sum(k, _jordan_totients(k, n), 1)
 
 
 def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
@@ -92,14 +109,16 @@ def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
         raise PoleError("Phi_2(-1) = 0")
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
-    return (-1) ** k * _jordan_sum(k, n_alpha(n))
+    return _jordan_sum(k, _jordan_totients(k, n_alpha(n)), -1)
 
 
-def _phi_derivs(base: int, log_deriv, n: int, K: int) -> list[Fraction]:
-    # (h, h', ..., h^(K)) at the point from h = base and (log h)^(j) = log_deriv(n, j)
+def _phi_derivs(base: int, m: int, sign: int, K: int) -> list[Fraction]:
+    # (h, h', ..., h^(K)) at the point from h = base and the log-derivatives
+    # (log h)^(k) = sign^k sum_j c_{k,j} J_j(m), with J_1..J_K(m) read once
     if K < 0:
         raise InputError("K must be >= 0")
-    logs = [log_deriv(n, j) for j in range(1, K + 1)]
+    js = _jordan_totients(K, m)
+    logs = [_jordan_sum(k, js, sign) for k in range(1, K + 1)]
     return [Fraction(base)] + exp_transform(logs, base)
 
 
@@ -107,7 +126,7 @@ def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
     """(Phi_n(1), Phi_n'(1), ..., Phi_n^(K)(1)) via the Bell transform."""
     if n < 2:
         raise DomainError("need n >= 2")
-    return _phi_derivs(phi_value_at_one(n), log_deriv_phi_at_one, n, K)
+    return _phi_derivs(phi_value_at_one(n), n, 1, K)
 
 
 # The order recurrence this name once ran is the one exp_transform runs now,
@@ -123,7 +142,7 @@ def phi_derivs_at_minus_one(n: int, K: int) -> list[Fraction]:
     """
     if n == 2:
         raise PoleError("Phi_2(-1) = 0")
-    return _phi_derivs(cyclotomic(n)(-1), log_deriv_phi_at_minus_one, n, K)
+    return _phi_derivs(cyclotomic(n)(-1), n_alpha(n), -1, K)
 
 
 def schwarzian_phi_at_one(n: int) -> Fraction:
@@ -173,7 +192,9 @@ def log_deriv_inverse_cyclo_at_minus_one(n: int, k: int) -> Fraction:
         raise InputError("need odd n >= 3")
     if k < 1:
         raise InputError("order k must be >= 1")
-    c = c_table(k).entries
-    s = sum(c[j] * (2 ** j - 1) * (n ** j - jordan_totient(j, n)) for j in range(1, k + 1))
-    return (-1) ** k * s
+    row = c_table(k)
+    s = sum(
+        row.nums[j] * (2 ** j - 1) * (n ** j - jordan_totient(j, n)) for j in range(1, k + 1)
+    )
+    return (-1) ** k * Fraction(s, row.den)
 

@@ -2,9 +2,12 @@
 
 Everything here is exact integer (or Fraction) arithmetic.  Factorization is
 plain trial division against a shared prime sieve that grows only as far as
-the cofactor left to split needs; inputs in this library stay well below
-10**9, so nothing fancier is warranted.  All functions memoize, and
-the caches only ever grow, so concurrent readers are safe under the GIL.
+the cofactor left to split needs, and never past PRIME_SIEVE_LIMIT = L: a
+cofactor of at least (L + 1)^2 with no prime factor up to L is refused with
+ResourceError, so every n below (L + 1)^2 (about 4.4 * 10^12), and any n
+whose cofactor falls below that square, factors exactly.  All functions
+memoize, and the caches only ever grow, so concurrent readers are safe under
+the GIL.
 """
 
 from __future__ import annotations
@@ -13,17 +16,27 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import InputError
+from .errors import InputError, ResourceError
+
+# the shared sieve never grows past this: 155 611 primes, about 0.13 s to build
+PRIME_SIEVE_LIMIT = 2 ** 21
 
 _prime_list: list[int] = [2, 3, 5, 7, 11, 13]
 _prime_limit = 13
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit (shared list; treat as read-only)."""
+    """All primes <= limit (shared list; treat as read-only).
+
+    Raises ResourceError for a limit above PRIME_SIEVE_LIMIT.
+    """
     global _prime_list, _prime_limit
+    if limit > PRIME_SIEVE_LIMIT:
+        raise ResourceError(
+            f"primes up to {limit} exceed the sieve guardrail PRIME_SIEVE_LIMIT = {PRIME_SIEVE_LIMIT}"
+        )
     if limit > _prime_limit:
-        new_limit = max(limit, 2 * _prime_limit)
+        new_limit = min(max(limit, 2 * _prime_limit), PRIME_SIEVE_LIMIT)
         sieve = bytearray([1]) * (new_limit + 1)
         sieve[0:2] = b"\x00\x00"
         for p in range(2, isqrt(new_limit) + 1):
@@ -35,10 +48,13 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def _ascending_primes():
-    # walks the shared prime list, doubling it whenever the walk reaches its end
+    # walks the shared prime list, doubling it whenever the walk reaches its
+    # end, and stops after the last prime up to PRIME_SIEVE_LIMIT
     i = 0
     while True:
-        if i == len(_prime_list):
+        while i == len(_prime_list):
+            if _prime_limit >= PRIME_SIEVE_LIMIT:
+                return
             primes_up_to(_prime_limit + 1)
         yield _prime_list[i]
         i += 1
@@ -50,7 +66,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Primes are divided out in ascending order until p^2 exceeds the remaining
     cofactor, so the prime list only grows as far as that cofactor needs:
-    2^60 and 2 * 3^40 never touch a prime above 5.
+    2^60 and 2 * 3^40 never touch a prime above 5.  A cofactor that would
+    need a prime above PRIME_SIEVE_LIMIT raises ResourceError.
     """
     if n < 1:
         raise InputError(f"factorize requires n >= 1, got {n}")
@@ -65,6 +82,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             out.append((p, e))
+    else:
+        # no prime up to the guardrail L divides m, so m is prime if m < (L + 1)^2
+        if m >= (_prime_limit + 1) ** 2:
+            raise ResourceError(
+                f"factorize: a cofactor of {m.bit_length()} bits has no prime factor up to "
+                f"the sieve guardrail PRIME_SIEVE_LIMIT = {PRIME_SIEVE_LIMIT}"
+            )
     if m > 1:
         out.append((m, 1))
     return tuple(out)

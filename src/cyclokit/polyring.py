@@ -13,8 +13,10 @@ zeta_m^2 = t zeta_m - 1 with t = 2 cos(2 pi / m); no other m is needed.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DomainError, InputError, PoleError
 from .numtheory import divisors, factorize, mobius, prime_power_value
@@ -300,22 +302,38 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     (log f)^(k) means the (k-1)-th derivative of f'/f; no logarithm is ever
     taken.  With x = p/q, the integer polynomial h(y) = q^d f(y/q) has
     h(p + q t) = q^d f(x + t), so K + 1 synthetic divisions of h by y - p give
-    its Taylor coefficients c_0..c_K at p in integer arithmetic.  The series
-    H'/H = sum_j b_j s^(j-1) of H(s) = sum c_j s^j then follows from
-    j c_j = sum_{t<j} c_t b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.
-    This uses only the coefficients of f, so it is the independent oracle
-    that every closed-form identity is tested against; O(K deg f) work.
+    its Taylor coefficients c_0..c_K at p in integer arithmetic.  A division
+    is one pass a -> a p + c over the descending coefficients; at p = 1 that
+    pass is a prefix sum (the Taylor shift by 1 as repeated summation, von zur
+    Gathen & Gerhard, ISSAC 1997), and x = -1 is taken there too, through
+    f(-1 + t) = g(1 - t) with g(y) = f(-y).  The series H'/H = sum_j b_j
+    s^(j-1) of H(s) = sum c_j s^j then follows from j c_j = sum_{t<j} c_t
+    b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  This uses only the
+    coefficients of f, so it is the independent oracle that every
+    closed-form identity is tested against; O(K deg f) work.
     """
     if K < 1:
         return []
     r = Fraction(x)
     p, q = r.numerator, r.denominator
-    h = [c * q ** i for i, c in enumerate(reversed(f.coeffs))]  # descending
+    h = list(reversed(f.coeffs))  # descending
+    if q != 1:
+        h = [c * q ** i for i, c in enumerate(h)]
+    flip = p == -1 and q == 1
+    if flip:
+        odd = slice(len(h) % 2, None, 2)  # the odd degrees
+        h[odd] = [-c for c in h[odd]]
+        p = 1
     taylor = []
     while h and len(taylor) <= K:
-        for i in range(1, len(h)):
-            h[i] += h[i - 1] * p
+        if p == 1:
+            h = list(accumulate(h))
+        elif p:
+            for i in range(1, len(h)):
+                h[i] += h[i - 1] * p
         taylor.append(h.pop())
+    if flip:
+        taylor[1::2] = [-c for c in taylor[1::2]]
     if not taylor or taylor[0] == 0:
         raise PoleError(f"f({x}) = 0: logarithmic derivative has a pole")
     # integer numerators: b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t)
@@ -461,11 +479,17 @@ def parse_poly(text: str) -> IntPoly:
         if not mt or (mt.group(2) is None and "x" not in term):
             raise InputError(f"bad term {term!r} at position {pos}")
         sign = -1 if mt.group(1) == "-" else 1
-        mag = int(mt.group(2)) if mt.group(2) is not None else 1
-        if "x" in term:
-            k = int(mt.group(3)) if mt.group(3) is not None else 1
-        else:
-            k = 0
+        try:
+            mag = int(mt.group(2)) if mt.group(2) is not None else 1
+            if "x" in term:
+                k = int(mt.group(3)) if mt.group(3) is not None else 1
+            else:
+                k = 0
+        except ValueError:  # the regex admits only digits, so this is the length limit
+            raise InputError(
+                f"a number in the term at position {pos} has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         coeffs[k] = coeffs.get(k, 0) + sign * mag
     top = max(coeffs)
     if top > DEGREE_GUARDRAIL:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
 
-from cyclokit.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclokit import numtheory as nt
+from cyclokit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -235,3 +241,82 @@ def test_check_oracle_mismatch_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "logderiv", "phi", "6", "--at", "1", "--order", "2", "--check-oracle")
     assert code == 3
     assert "disagrees with oracle" in err
+
+
+def test_poly_digit_limit_exits_2(capsys):
+    nines = "9" * 5000
+    for poly in (f"x^{nines}", f"{nines}x + 1"):
+        code, _, err = run(capsys, "kronecker", "certify", "--poly", poly)
+        assert code == 2
+        assert "more than" in err and "Traceback" not in err
+
+
+def test_unreadable_file_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "kronecker", "factor", "--file", str(tmp_path / "missing"))
+    assert code == 2
+    assert "cannot read" in err
+    code, _, err = run(capsys, "logderiv", "poly", "--file", str(tmp_path), "--at", "0", "--order", "1")
+    assert code == 2
+
+
+def test_factorize_guardrail_exits_2(capsys, monkeypatch):
+    # a guardrail of 1000 on a fresh prime list stands in for PRIME_SIEVE_LIMIT,
+    # so the test never sieves that far
+    monkeypatch.setattr(nt, "PRIME_SIEVE_LIMIT", 1000)
+    monkeypatch.setattr(nt, "_prime_list", [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(nt, "_prime_limit", 13)
+    code, _, err = run(capsys, "jordan", "2", "1000000000000000003")
+    assert code == 2
+    assert "PRIME_SIEVE_LIMIT" in err
+
+
+# Argument shapes for every subcommand; N and T take a drawn token.  No
+# --dump-coeffs (it writes a file), and the tokens are never positive sizes,
+# so no case can ask for huge but valid work.
+_CLI_FORMS = [
+    ["phi", "N"], ["phi", "N", "--coeffs", "--force"],
+    ["coeff", "N", "N"], ["coeff", "N", "N", "--method", "all"],
+    ["coeff", "N", "N", "--method", "moller"], ["coeff", "N", "N", "--method", "taylor1"],
+    ["ramanujan", "N", "N"], ["jordan", "N", "N"],
+    ["bernoulli", "N"], ["bernoulli", "N", "--minus"],
+    ["stirling", "1", "N", "N"], ["stirling", "2", "N", "N"],
+    ["bellpoly", "partial", "N", "N", "--xs", "T"], ["bellpoly", "complete", "N", "--xs", "T"],
+    ["logderiv", "phi", "N", "--at", "T", "--order", "N", "--check-oracle"],
+    ["logderiv", "invphi", "N", "--at", "T", "--order", "N"],
+    ["logderiv", "poly", "--poly", "T", "--at", "T", "--order", "N"],
+    ["logderiv", "poly", "--file", "T", "--at", "T", "--order", "N"],
+    ["schwarzian", "N"],
+    ["kronecker", "factor", "--poly", "T"], ["kronecker", "certify", "--poly", "T"],
+    ["kronecker", "certify", "--file", "T"],
+    ["semigroup", "info", "--gens", "T"], ["semigroup", "symmetric", "--gens", "T"],
+    ["semigroup", "cyclotomic", "--gens", "T"], ["semigroup", "polynomial", "--gens", "T"],
+    ["fk", "gcd", "N"], ["fk", "certify", "N"], ["fk", "sweep", "--max", "N"],
+    ["frobenius-family", "N"],
+    ["tables", "c", "--max", "N"], ["tables", "factorization", "--max", "N"],
+]
+
+_OVERLONG = "9" * 4301
+_bad_tokens = st.one_of(
+    st.sampled_from(["", "0", "-0", "1/0", "0/5", "abc", "x^", ",", ",,", "--", "nan", "-x", "3/-"]),
+    st.integers(-10 ** 6, -1).map(str),
+    st.builds("{}/{}".format, st.integers(-99, -1), st.integers(1, 99)),
+    st.text(alphabet="abx^*,+- .", min_size=1, max_size=6),
+    st.sampled_from([_OVERLONG, "-" + _OVERLONG, "x^" + _OVERLONG, _OVERLONG + "x+1", "1," + _OVERLONG]),
+)
+
+
+def test_cli_forms_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {form[0] for form in _CLI_FORMS} == set(sub.choices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CLI_FORMS), st.lists(_bad_tokens, min_size=4, max_size=4), st.booleans())
+def test_cli_exits_cleanly_on_malformed_arguments(form, tokens, use_json):
+    drawn = iter(tokens)
+    argv = [next(drawn) if a in ("N", "T") else a for a in form]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main((["--json"] if use_json else []) + argv)
+    assert code in (0, 1, 2), (argv, err.getvalue()[-300:])
+    assert "Traceback" not in err.getvalue()

@@ -27,9 +27,18 @@ def test_coeff_moller():
         assert cc.coeff_moller(n, 2) == (mu1 * mu1 - mu1 - 2 * mu2) // 2
 
 
+def _binom_mu(mu, lam):
+    # generalized binomial C(mu, lam) for mu in {-1, 0, 1}
+    if lam == 0:
+        return 1
+    if lam == 1:
+        return mu
+    return (-1) ** lam * (mu * (mu - 1)) // 2
+
+
 def _coeff_moller_full_enumeration(n, k):
-    # the Moller sum over every partition of k, not only those into parts j
-    # with mu(n/j) != 0; it expands 1 - x = -Phi_1 at n = 1
+    # the Moller sum over every partition of k, every factor a generalized
+    # binomial, vanishing ones included; it expands 1 - x = -Phi_1 at n = 1
     sign = -1 if n == 1 else 1
     if k == 0:
         return sign
@@ -38,7 +47,7 @@ def _coeff_moller_full_enumeration(n, k):
         term = 1
         for j, lam in enumerate(vec, start=1):
             if lam:
-                term *= (-1) ** lam * cc._binom_mu(cc._mu_at(n, j), lam)
+                term *= (-1) ** lam * _binom_mu(cc._mu_at(n, j), lam)
                 if term == 0:
                     break
         total += term
@@ -46,8 +55,8 @@ def _coeff_moller_full_enumeration(n, k):
 
 
 def test_coeff_moller_matches_full_enumeration():
-    for n in range(1, 31):
-        for k in range(0, 11):
+    for n in range(1, 120):
+        for k in range(0, 15):
             assert cc.coeff_moller(n, k) == _coeff_moller_full_enumeration(n, k)
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, lcm, perm
 
 import pytest
 
 from cyclokit import cycloderiv as cd
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
+from cyclokit.combinat import bernoulli_plus, stirling_first
 from cyclokit.errors import DomainError, InputError, PoleError
 from cyclokit.polyring import IntPoly
 
@@ -24,6 +25,18 @@ def test_c_table_row_4():
         Fraction(0),
         Fraction(-1, 120),
     )
+
+
+def test_c_table_integer_row():
+    # the integer numerators over the least common denominator reproduce the
+    # weights B_j^+ s(k, j) / j and their negated sum
+    for k in range(1, 17):
+        row = cd.c_table(k)
+        tail = [bernoulli_plus(j) * stirling_first(k, j) / j for j in range(1, k + 1)]
+        assert [Fraction(c, row.den) for c in row.nums] == [-sum(tail)] + tail
+        assert row.entries == tuple([-sum(tail)] + tail)
+        assert row.den == lcm(*(c.denominator for c in tail))
+        assert all(type(c) is int for c in row.nums)
 
 
 def test_c_table_row_sums():

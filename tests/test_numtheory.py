@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from cyclokit import numtheory as nt
-from cyclokit.errors import InputError
+from cyclokit.errors import InputError, ResourceError
 
 
 def test_mobius_values():
@@ -166,3 +166,33 @@ def test_factorize_grows_primes_only_as_far_as_the_cofactor(monkeypatch):
     # the cofactor 10007 left after 101 and 103 needs primes up to 107 only
     assert uncached(101 * 103 * 10007) == ((101, 1), (103, 1), (10007, 1))
     assert nt._prime_limit <= max(before, 2 * 107)
+
+
+def test_factorize_refuses_cofactors_beyond_the_sieve_guardrail(monkeypatch):
+    # a fresh prime list and a guardrail of 1000: cofactors below 1001^2 still
+    # factor exactly, larger ones with no prime factor up to 1000 are refused,
+    # and the sieve is never asked for more than the guardrail
+    limit = 1000
+    monkeypatch.setattr(nt, "PRIME_SIEVE_LIMIT", limit)
+    monkeypatch.setattr(nt, "_prime_list", [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(nt, "_prime_limit", 13)
+    sieve = nt.primes_up_to
+
+    def bounded_sieve(n):
+        assert n <= limit, f"sieve requested up to {n}"
+        return sieve(n)
+
+    monkeypatch.setattr(nt, "primes_up_to", bounded_sieve)
+    uncached = nt.factorize.__wrapped__
+    assert uncached(997 * 997) == ((997, 2),)  # 997 is the largest prime <= 1000
+    assert uncached(997 * 1009) == ((997, 1), (1009, 1))
+    assert uncached(1000003) == ((1000003, 1),)  # a prime just below 1001^2
+    assert uncached(2 * 3 * 1000003) == ((2, 1), (3, 1), (1000003, 1))
+    assert uncached(2 ** 60) == ((2, 60),)
+    assert uncached(2 * 3 ** 40) == ((2, 1), (3, 40))
+    for n in (1009 * 1009, 1009 * 1013, 1000000000000000003, 2 * 1009 * 1013):
+        with pytest.raises(ResourceError, match="PRIME_SIEVE_LIMIT"):
+            uncached(n)
+    assert nt._prime_limit == limit
+    with pytest.raises(ResourceError, match="PRIME_SIEVE_LIMIT"):
+        sieve(limit + 1)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,59 @@ def test_log_derivative_values_match_quotient_rule_random(f, x, K):
     _assert_matches_quotient_rule(f, K, x)
 
 
+def _log_derivative_values_by_synthetic_division(f, K, x):
+    # the Taylor coefficients of f at x by K + 1 synthetic divisions by y - x
+    # in rationals, one interpreted loop each, then the series
+    # f'(x + t) / f(x + t) = sum_k (log f)^(k)(x) t^(k-1) / (k-1)! term by term
+    if K < 1:
+        return []
+    x = Fraction(x)
+    h = [Fraction(c) for c in reversed(f.coeffs)]
+    taylor = []
+    while h and len(taylor) <= K:
+        for i in range(1, len(h)):
+            h[i] += h[i - 1] * x
+        taylor.append(h.pop())
+    if not taylor or taylor[0] == 0:
+        raise PoleError(f"f({x}) = 0")
+    taylor += [Fraction(0)] * (K + 1 - len(taylor))
+    dshift = [(t + 1) * taylor[t + 1] for t in range(K)]
+    series = _series_div(dshift, taylor[:K], K)
+    return [series[k - 1] * _fact(k - 1) for k in range(1, K + 1)]
+
+
+shift_points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
+)
+
+
+_DEGREE_200 = [(-1) ** i * (10 ** 30 - 7 * i) for i in range(201)]
+
+
+@settings(max_examples=150, deadline=None)
+@example(_DEGREE_200, Fraction(-1), 12, False)
+@example(_DEGREE_200[:200], Fraction(1), 12, True)
+@example(_DEGREE_200, Fraction(5, 3), 12, False)
+@given(
+    st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=201),
+    shift_points,
+    st.integers(0, 12),
+    st.booleans(),
+)
+def test_log_derivative_values_match_synthetic_division(coeffs, x, K, root):
+    f = IntPoly(coeffs)
+    if root:  # times q y - p for x = p/q, so that f vanishes at x
+        f = f * IntPoly((-x.numerator, x.denominator))
+    try:
+        expected = _log_derivative_values_by_synthetic_division(f, K, x)
+    except PoleError:
+        with pytest.raises(PoleError, match="logarithmic derivative has a pole"):
+            pr.log_derivative_values(f, K, x)
+        return
+    assert pr.log_derivative_values(f, K, x) == expected
+
+
 def _fact(n):
     out = 1
     for i in range(2, n + 1):
@@ -421,6 +475,27 @@ def test_parse_degree_guardrail():
     assert pr.parse_poly("x^1000000 + 1").degree == pr.DEGREE_GUARDRAIL == 10 ** 6
     with pytest.raises(InputError, match="guardrail"):
         pr.parse_poly("x^1000001")
+
+
+def test_parse_digit_limit():
+    # a term-form number past Python's int string limit (4300 digits by
+    # default) is an input error, as in the CSV form, not a ValueError
+    limit = 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        under, over = "9" * limit, "9" * (limit + 1)
+        assert pr.parse_poly(f"{under}x + 1") == IntPoly((1, int(under)))
+        assert pr.parse_poly(f"x - {under}") == IntPoly((-int(under), 1))
+        for text in (f"{over}x + 1", f"x - {over}", f"x^{over}", f"2*x^{over} + x"):
+            with pytest.raises(InputError, match=f"more than {limit} digits"):
+                pr.parse_poly(text)
+        with pytest.raises(InputError, match="guardrail"):
+            pr.parse_poly(f"x^{under}")
+        with pytest.raises(InputError, match="bad coefficient"):
+            pr.parse_poly(f"1,{over}")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_rejects_stray_signs():
