@@ -52,6 +52,7 @@ from .kronecker import (
     even_bound_check,
     excluded_set,
     factor_kronecker,
+    log_rows,
     mu_C,
     odd_identity_check,
     sign_tests,

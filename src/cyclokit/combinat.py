@@ -2,7 +2,9 @@
 
 All values are exact: integers where the quantity is integral, Fraction
 otherwise.  Tables are built lazily row by row and cached for the identity
-sweeps that hammer them.
+sweeps that hammer them.  The Bernoulli list and the two Stirling triangles
+grow by appending, and refuse with ResourceError any index above
+TABLE_INDEX_LIMIT.
 
 A note on the second-kind recurrence: the consequence {k, 2} = 2^(k-1) - 1 and
 the set-partition interpretation force the multiplier of {k-1, j} to be j.
@@ -15,22 +17,51 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ResourceError
 
 Rational = Fraction | int
 
+# largest n for which B_n and the Stirling rows k <= n are built; each table
+# grows by an O(n) step per index, and the Fraction sums of B_n grow with n:
+# `cyclokit bernoulli 400` takes about 1 s from a cold start (Python 3.11,
+# 2 vCPU)
+TABLE_INDEX_LIMIT = 400
+
 _B_PLUS: list[Fraction] = [Fraction(1)]
+_S1_ROWS: list[tuple[int, ...]] = [(1,)]  # signed first kind, row k has indices 0..k
+_S2_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def _table_entry(table: list, n: int, step):
+    # table[n], appending step(m, table) for m = len(table), ..., n first
+    if n > TABLE_INDEX_LIMIT:
+        raise ResourceError(f"index {n} exceeds the guardrail TABLE_INDEX_LIMIT = {TABLE_INDEX_LIMIT}")
+    while len(table) <= n:
+        table.append(step(len(table), table))
+    return table[n]
+
+
+def _bernoulli_step(m: int, b: list[Fraction]) -> Fraction:
+    return 1 - sum(comb(m, k) * b[k] / (m - k + 1) for k in range(m))
+
+
+def _stirling1_step(k: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # s(k, j) = s(k-1, j-1) - (k-1) s(k-1, j), with s(k-1, k) = 0
+    prev = rows[k - 1] + (0,)
+    return (0,) + tuple(prev[j - 1] - (k - 1) * prev[j] for j in range(1, k + 1))
+
+
+def _stirling2_step(k: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # {k, j} = {k-1, j-1} + j {k-1, j}, with {k-1, k} = 0
+    prev = rows[k - 1] + (0,)
+    return (0,) + tuple(prev[j - 1] + j * prev[j] for j in range(1, k + 1))
 
 
 def bernoulli_plus(n: int) -> Fraction:
     """Bernoulli number B_n^+ = B_n(1); B_1^+ = 1/2."""
     if n < 0:
         raise InputError(f"n must be >= 0, got {n}")
-    while len(_B_PLUS) <= n:
-        m = len(_B_PLUS)
-        s = sum(comb(m, k) * _B_PLUS[k] / (m - k + 1) for k in range(m))
-        _B_PLUS.append(1 - s)
-    return _B_PLUS[n]
+    return _table_entry(_B_PLUS, n, _bernoulli_step)
 
 
 def bernoulli_minus(n: int) -> Fraction:
@@ -39,36 +70,13 @@ def bernoulli_minus(n: int) -> Fraction:
     return -b if n == 1 else b
 
 
-@lru_cache(maxsize=None)
-def _stirling1_row(k: int) -> tuple[int, ...]:
-    # row k of the signed first-kind triangle, indices 0..k
-    if k == 0:
-        return (1,)
-    prev = _stirling1_row(k - 1)
-    row = [0] * (k + 1)
-    for j in range(1, k + 1):
-        row[j] = prev[j - 1] - (k - 1) * (prev[j] if j <= k - 1 else 0)
-    return tuple(row)
-
-
 def stirling_first(k: int, j: int) -> int:
     """Signed Stirling number of the first kind s(k, j)."""
     if k < 0 or j < 0:
         raise InputError("Stirling indices must be non-negative")
     if j > k:
         return 0
-    return _stirling1_row(k)[j]
-
-
-@lru_cache(maxsize=None)
-def _stirling2_row(k: int) -> tuple[int, ...]:
-    if k == 0:
-        return (1,)
-    prev = _stirling2_row(k - 1)
-    row = [0] * (k + 1)
-    for j in range(1, k + 1):
-        row[j] = (prev[j - 1] if j - 1 <= k - 1 else 0) + j * (prev[j] if j <= k - 1 else 0)
-    return tuple(row)
+    return _table_entry(_S1_ROWS, k, _stirling1_step)[j]
 
 
 def stirling_second(k: int, j: int) -> int:
@@ -77,7 +85,7 @@ def stirling_second(k: int, j: int) -> int:
         raise InputError("Stirling indices must be non-negative")
     if j > k:
         return 0
-    return _stirling2_row(k)[j]
+    return _table_entry(_S2_ROWS, k, _stirling2_step)[j]
 
 
 @lru_cache(maxsize=None)

@@ -98,18 +98,18 @@ def coeff_bell(n: int, k: int) -> int:
     return val // factorial(k)
 
 
-def coeff_taylor_from_one(n: int, k: int, cap: int = TAYLOR_FROM_ONE_CAP) -> int:
+def coeff_taylor_from_one(n: int, k: int) -> int:
     """a_n(k) by re-expanding the Taylor series of Phi_n around 1.
 
     a_n(k) = (1/k!) sum_{t=k}^{phi(n)} (-1)^(t-k) Phi_n^(t)(1) / (t-k)!,
     with the derivatives at 1 taken from the Bell-transform closed form.
-    Expensive; guarded by a cap on phi(n).
+    Expensive; refuses phi(n) above TAYLOR_FROM_ONE_CAP.
     """
     if n < 2 or k < 0:
         raise InputError("need n >= 2 and k >= 0")
     d = euler_phi(n)
-    if d > cap:
-        raise ResourceError(f"phi({n}) = {d} exceeds the configured cap {cap}")
+    if d > TAYLOR_FROM_ONE_CAP:
+        raise ResourceError(f"phi({n}) = {d} exceeds the configured cap {TAYLOR_FROM_ONE_CAP}")
     if k > d:
         raise InputError(f"k must be at most phi(n) = {d}")
     derivs = phi_derivs_at_one(n, d)
@@ -122,7 +122,7 @@ def coeff_taylor_from_one(n: int, k: int, cap: int = TAYLOR_FROM_ONE_CAP) -> int
     return val.numerator
 
 
-def coeff_all_methods(n: int, k: int, include_taylor: bool = False) -> int:
+def coeff_all_methods(n: int, k: int) -> int:
     """All implemented routes to a_n(k); raises InvariantError on disagreement."""
     direct = coeff_direct(n, k)
     got = {"moller": coeff_moller(n, k)}
@@ -130,8 +130,6 @@ def coeff_all_methods(n: int, k: int, include_taylor: bool = False) -> int:
         # the recurrence and the Bell form hold for n >= 2 only
         got["recurrence"] = coeff_prefix_recurrence(n, k)[k]
         got["bell"] = coeff_bell(n, k)
-    if include_taylor:
-        got["taylor1"] = coeff_taylor_from_one(n, k)
     bad = {name: v for name, v in got.items() if v != direct}
     if bad:
         raise InvariantError(f"coefficient methods disagree at n={n}, k={k}: direct={direct}, {bad}")

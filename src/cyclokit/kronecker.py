@@ -9,10 +9,11 @@ the degree (the inverse-totient enumeration of Contini, Croot and
 Shparlinski), in time near-linear in the number of candidates; the search
 runs once per binary order of magnitude of the degree and is cached.
 
-Every division by a Phi_d, in the factorization and in the exclusion
-families alike, is screened first by the integer divisibility tests
-Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further division
-by the same Phi_d; only survivors are divided, and only division decides.
+Every division by a Phi_d is screened first by the integer divisibility
+tests Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further
+division by the same Phi_d; only survivors are divided, and only division
+decides.  The factorization is the only place a polynomial is divided: every
+multiplicity the later stages need is read off it.
 
 certify factors first and checks the factorization against f by rebuilding
 the product through the Mobius series Phi_d = prod_{t | d} (1 - x^t)^mu(d/t)
@@ -21,8 +22,9 @@ non-Kronecker certificates follow: sign tests at a few small integers on the
 real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
 sums, and the even-order Jordan-totient lower bounds refined through
 root-of-unity exclusions and the multiplicities the factorization found.
-Every certificate carries the witness values needed to recheck it without
-re-running the search.
+The Stirling stages all read one row (log f)^(j)(+-1), j <= 5, per point:
+the values of order k are its first k entries.  Every certificate carries
+the witness values needed to recheck it without re-running the search.
 """
 
 from __future__ import annotations
@@ -210,34 +212,27 @@ def _screen_values(d: int) -> tuple[int, int]:
     return cyclotomic_value(d, 2), cyclotomic_value(d, 3)
 
 
-def _passes_screen(d: int, f2: int, f3: int) -> bool:
-    # Phi_d | f over Z forces Phi_d(2) | f(2) and Phi_d(3) | f(3)
-    v2, v3 = _screen_values(d)
-    return f2 % v2 == 0 and f3 % v3 == 0
-
-
-def _strip_monomial(f: IntPoly) -> tuple[int, IntPoly]:
-    e0 = 0
-    while e0 <= f.degree and f.coeffs[e0] == 0:
-        e0 += 1
-    return e0, IntPoly(f.coeffs[e0:])
-
-
 def factor_kronecker(f: IntPoly) -> CycloFactorization:
     """Exact decomposition x^e0 * prod Phi_d^(e_d) * remainder of a monic f."""
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     if not f.is_monic():
         raise InputError("factor_kronecker requires a monic polynomial")
-    e0, g = _strip_monomial(f)
+    e0 = 0
+    while f.coeffs[e0] == 0:
+        e0 += 1
+    g = IntPoly(f.coeffs[e0:])
     factors: dict[int, int] = {}
     g2, g3 = g(2), g(3)
     for d, phid in cyclotomic_candidates(g.degree):
-        while phid <= g.degree and _passes_screen(d, g2, g3):
+        while phid <= g.degree:
+            # Phi_d | g over Z forces Phi_d(2) | g(2) and Phi_d(3) | g(3)
+            v2, v3 = _screen_values(d)
+            if g2 % v2 or g3 % v3:
+                break
             q = poly_div_exact(g, cyclotomic(d))
             if q is None:
                 break
-            v2, v3 = _screen_values(d)
             g = q
             g2 //= v2
             g3 //= v3
@@ -293,9 +288,7 @@ def sign_tests(f: IntPoly) -> Certificate | None:
 # Stirling-weighted logarithmic-derivative machinery
 
 def _stirling_sum_from_values(vals: list[Fraction], k: int, point: int) -> Fraction:
-    if point == 1:
-        return sum(stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1))
-    return sum((-1) ** j * stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1))
+    return sum(point ** j * stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1))
 
 
 def stirling_logderiv_sum(f: IntPoly, k: int, point: int) -> Fraction:
@@ -312,17 +305,37 @@ def stirling_logderiv_sum(f: IntPoly, k: int, point: int) -> Fraction:
     return _stirling_sum_from_values(vals, k, point)
 
 
-def odd_identity_check(f: IntPoly, k: int) -> Certificate | None:
-    """For odd k >= 3 the Stirling-weighted sums vanish on every Kronecker
-    polynomial (B_k^+ = 0); a nonzero value at +1 or -1 is a certificate.
-    Points where f vanishes are skipped."""
-    if k < 3 or k % 2 == 0:
-        raise InputError("odd_identity_check needs odd k >= 3")
+LOG_ROW_ORDER = 5
+LogRows = dict[int, list[Fraction] | None]
+
+
+def log_rows(f: IntPoly) -> LogRows:
+    """{1: row, -1: row} with row = ((log f)'(x), ..., (log f)^(5)(x)) at that
+    point, or None where f vanishes.
+
+    Every Stirling stage of certify (orders 2..5) reads these two rows: the
+    values of order k are the first k entries of a row.
+    """
+    rows: LogRows = {}
     for point in (1, -1):
         try:
-            vals = log_derivative_values(f, k, point)
+            rows[point] = log_derivative_values(f, LOG_ROW_ORDER, point)
         except PoleError:
+            rows[point] = None
+    return rows
+
+
+def odd_identity_check(logs: LogRows, k: int) -> Certificate | None:
+    """For odd k >= 3 the Stirling-weighted sums vanish on every Kronecker
+    polynomial (B_k^+ = 0); a nonzero value at +1 or -1 is a certificate.
+    logs is the log_rows of the polynomial; points where it vanishes are
+    skipped."""
+    if k < 3 or k % 2 == 0 or k > LOG_ROW_ORDER:
+        raise InputError(f"odd_identity_check needs odd 3 <= k <= {LOG_ROW_ORDER}")
+    for point in (1, -1):
+        if logs[point] is None:
             continue
+        vals = logs[point][:k]
         total = _stirling_sum_from_values(vals, k, point)
         if total != 0:
             return Certificate(
@@ -374,7 +387,7 @@ class ExcludedIndices:
         }
 
 
-def excluded_set(f: IntPoly) -> ExcludedIndices:
+def excluded_set(f: IntPoly, factors: dict[int, int]) -> ExcludedIndices:
     """Forbidden cyclotomic index families derived from |f(zeta_m)|^2.
 
     If Phi_{m q^j} divides f then q^2 divides the norm |f(zeta_m)|^2, so any
@@ -382,20 +395,16 @@ def excluded_set(f: IntPoly) -> ExcludedIndices:
     the primes q <= deg f + 1 are tested: for a larger q, phi(m q^j) >= q - 1
     exceeds deg f, so that family is excluded whatever the norm.  Each m
     needs f(zeta_d) != 0 for all d <= m; an m whose hypothesis fails is
-    skipped and recorded.  That hypothesis is decided by trial division by
-    Phi_1..Phi_6, once each and only for the d that pass the integer screen.
+    skipped and recorded.  That hypothesis is read off factors, the
+    multiplicities of factor_kronecker(f): f(zeta_d) = 0 exactly when Phi_d
+    divides f.
     """
-    f2, f3 = f(2), f(3)
-    divides = {
-        d: _passes_screen(d, f2, f3) and poly_div_exact(f, cyclotomic(d)) is not None
-        for d in range(1, 7)
-    }
     primes = primes_up_to(f.degree + 1)
     primes = primes[: bisect_right(primes, f.degree + 1)]
     handled = []
     skipped = []
     for m in (1, 2, 3, 4, 6):
-        if any(divides[d] for d in range(1, m + 1)):
+        if any(factors.get(d, 0) for d in range(1, m + 1)):
             skipped.append(m)
             continue
         norm2 = norm_at_root_of_unity(f, m)
@@ -435,11 +444,12 @@ def mu_C(k: int, C: ExcludedIndices) -> Fraction:
     raise InvariantError("mu_C scan exhausted; excluded set admits no index")
 
 
-def _small_low_ratio_indices(k: int, C: ExcludedIndices, rounds: int = 3) -> list[int]:
-    # indices below the current minimum ratio, grown fixpoint-style; these get
-    # their multiplicities determined exactly before the bound is applied
+def _small_low_ratio_indices(k: int, C: ExcludedIndices) -> list[int]:
+    # indices below the current minimum ratio, grown fixpoint-style for at
+    # most three rounds; these get their multiplicities determined exactly
+    # before the bound is applied
     small: list[int] = []
-    for _ in range(rounds):
+    for _ in range(3):
         mu = mu_C(k, C.with_extra(small))
         added = False
         for j in range(2, floor(mu) + 1):
@@ -454,13 +464,15 @@ def _small_low_ratio_indices(k: int, C: ExcludedIndices, rounds: int = 3) -> lis
 
 
 def even_bound_check(
-    f: IntPoly,
+    logs: LogRows,
     k: int,
+    degree: int,
     C: ExcludedIndices,
-    known_divisors: dict[int, int] | None = None,
+    known_divisors: dict[int, int],
 ) -> Certificate | None:
     """Jordan-totient lower bound for even k >= 2.
 
+    logs is the log_rows of a polynomial f of the given degree with f(0) != 0.
     At +1, a Kronecker f satisfies M = (k/B_k^+) sum_j {k,j} (log f)^(j)(1)
     = sum e_d J_k(d).  known_divisors maps index d to the exact multiplicity
     of Phi_d in f as determined by trial division; a multiplicity of 0 still
@@ -470,20 +482,14 @@ def even_bound_check(
     baseline (3^k - 1)/2 per degree applies.  Points where f vanishes are
     skipped.
     """
-    if k < 2 or k % 2:
-        raise InputError("even_bound_check needs even k >= 2")
-    known = known_divisors or {}
-    e0, _ = _strip_monomial(f)
-    deg_free = f.degree - e0
+    if k < 2 or k % 2 or k > LOG_ROW_ORDER:
+        raise InputError(f"even_bound_check needs even 2 <= k <= {LOG_ROW_ORDER}")
     scale = Fraction(k) / bernoulli_plus(k)
-    try:
-        m_plus = scale * stirling_logderiv_sum(f, k, 1)
-    except PoleError:
-        m_plus = None
-    if m_plus is not None:
-        c_known = C.with_extra(known)
-        residue = m_plus - sum(e * jordan_totient(k, d) for d, e in known.items())
-        deg_rest = deg_free - sum(e * euler_phi(d) for d, e in known.items())
+    if logs[1] is not None:
+        m_plus = scale * _stirling_sum_from_values(logs[1], k, 1)
+        c_known = C.with_extra(known_divisors)
+        residue = m_plus - sum(e * jordan_totient(k, d) for d, e in known_divisors.items())
+        deg_rest = degree - sum(e * euler_phi(d) for d, e in known_divisors.items())
         mu = mu_C(k, c_known)
         if residue < mu * deg_rest:
             return Certificate(
@@ -494,14 +500,14 @@ def even_bound_check(
                 details={
                     "point": 1,
                     "excluded": c_known.describe(),
-                    "known_divisors": dict(known),
+                    "known_divisors": dict(known_divisors),
                     "lhs": residue,
                     "rhs": mu * deg_rest,
                 },
             )
-    if f(1) != 0 and f(-1) != 0:
-        m_minus = scale * stirling_logderiv_sum(f, k, -1)
-        baseline = Fraction(3 ** k - 1, 2) * deg_free
+    if logs[1] is not None and logs[-1] is not None:
+        m_minus = scale * _stirling_sum_from_values(logs[-1], k, -1)
+        baseline = Fraction(3 ** k - 1, 2) * degree
         if m_minus < baseline:
             return Certificate(
                 VERDICT_NON_KRONECKER,
@@ -534,23 +540,24 @@ def certify(f: IntPoly) -> Certificate:
     factorization = factor_kronecker(f)
     if factorization.reconstruct() != f:
         raise InvariantError("factorization does not reconstruct the input")
-    e0, g = _strip_monomial(f)
+    e0 = factorization.e0
+    g = IntPoly(f.coeffs[e0:])
     cert = sign_tests(g)
     if cert is not None and e0:
         # the witnesses refer to f / x^e0
         cert.details["monomial_exponent_stripped"] = e0
     if cert is None and g.degree >= 1:
+        logs = log_rows(g)
         for k in (3, 5):
-            cert = odd_identity_check(g, k)
+            cert = odd_identity_check(logs, k)
             if cert is not None:
                 break
-        if cert is None and g(1) != 0:
-            C = excluded_set(g)
-            small = _small_low_ratio_indices(2, C)
+        if cert is None and logs[1] is not None:
             # Phi_d is coprime to x, so its multiplicity in g is e_d of f
-            known = {d: factorization.factors.get(d, 0) for d in small}
+            C = excluded_set(g, factorization.factors)
+            known = {d: factorization.factors.get(d, 0) for d in _small_low_ratio_indices(2, C)}
             for k in (2, 4):
-                cert = even_bound_check(g, k, C, known_divisors=known)
+                cert = even_bound_check(logs, k, g.degree, C, known)
                 if cert is not None:
                     break
     if factorization.is_kronecker:

@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 
 from .errors import DomainError, InputError, PoleError
 from .numtheory import divisors, factorize, mobius, prime_power_value
@@ -146,40 +147,26 @@ class IntPoly:
         return f"IntPoly({format_poly(self)!r})"
 
 
-def _divmod_unit(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    # long division by a divisor with unit (+-1) leading coefficient
-    if g.is_zero():
-        raise InputError("division by the zero polynomial")
-    lead = g.coeffs[-1]
-    if lead not in (1, -1):
-        raise InputError("divisor must have leading coefficient +-1")
-    dg = g.degree
-    rem = list(f.coeffs)
-    if f.degree < dg:
-        return IntPoly(), f
-    quot = [0] * (f.degree - dg + 1)
-    gbody = g.coeffs[:-1]
-    for i in range(f.degree - dg, -1, -1):
-        q = rem[i + dg] * lead  # lead is +-1
-        if q:
-            quot[i] = q
-            rem[i + dg] = 0
-            for j, c in enumerate(gbody):
-                if c:
-                    rem[i + j] -= q * c
-        else:
-            quot[i] = 0
-    return IntPoly(quot), IntPoly(rem[:dg])
-
-
 def poly_div_exact(f: IntPoly, g: IntPoly) -> IntPoly | None:
     """Quotient f / g when the monic g divides f exactly over Z, else None."""
     if g.is_zero():
         raise InputError("division by the zero polynomial")
     if not g.is_monic():
         raise InputError("poly_div_exact requires a monic divisor")
-    quot, rem = _divmod_unit(f, g)
-    return quot if rem.is_zero() else None
+    dg = g.degree
+    if f.degree < dg:
+        return IntPoly() if f.is_zero() else None
+    rem = list(f.coeffs)
+    quot = [0] * (f.degree - dg + 1)
+    gbody = g.coeffs[:-1]
+    for i in range(f.degree - dg, -1, -1):
+        q = rem[i + dg]
+        if q:
+            quot[i] = q
+            for j, c in enumerate(gbody):
+                if c:
+                    rem[i + j] -= q * c
+    return None if any(rem[:dg]) else IntPoly(quot)
 
 
 def multiplicity(f: IntPoly, g: IntPoly) -> int:
@@ -199,16 +186,36 @@ def xn_minus_1(n: int) -> IntPoly:
     return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
+def radical(n: int) -> int:
+    out = 1
+    for p, _ in factorize(n):
+        out *= p
+    return out
+
+
 @lru_cache(maxsize=4096)
-def _cyclotomic_squarefree(n: int) -> IntPoly:
-    # n squarefree > 1: Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) is a palindrome,
-    # so the power series product up to degree phi(n)/2 gives it; a factor is
-    # one pass over those coefficients, and 1 there when d > phi(n)/2
+def cyclotomic(n: int) -> IntPoly:
+    """The n-th cyclotomic polynomial, exactly, of degree phi(n).
+
+    For squarefree n > 1, Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) is a
+    palindrome, so the power series product up to degree phi(n)/2 gives it:
+    one pass over those coefficients per factor, and the factor is 1 there
+    when d > phi(n)/2; O(2^omega(n) phi(n)) work.  Any other n is inflated
+    from its radical r via Phi_n(x) = Phi_r(x^(n/r)).
+    """
+    if n < 1:
+        raise InputError(f"cyclotomic index must be >= 1, got {n}")
     if n == 1:
         return IntPoly((-1, 1))
-    deg = 1
-    for p, _ in factorize(n):
-        deg *= p - 1
+    primes = [p for p, _ in factorize(n)]
+    r = prod(primes)
+    if r != n:
+        m = n // r
+        base = cyclotomic(r)
+        out = [0] * (base.degree * m + 1)
+        out[::m] = base.coeffs
+        return IntPoly(out)
+    deg = prod(p - 1 for p in primes)
     half = deg // 2
     out = [1] + [0] * half
     for d in divisors(n):
@@ -223,34 +230,6 @@ def _cyclotomic_squarefree(n: int) -> IntPoly:
     return IntPoly(out + out[deg - half - 1 :: -1])
 
 
-def radical(n: int) -> int:
-    out = 1
-    for p, _ in factorize(n):
-        out *= p
-    return out
-
-
-@lru_cache(maxsize=4096)
-def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, exactly, of degree phi(n).
-
-    Built for the radical r as the truncated power series of the Mobius
-    product over the divisors of r, O(2^omega(n) phi(r)) work, then inflated
-    via Phi_n(x) = Phi_r(x^(n/r)).
-    """
-    if n < 1:
-        raise InputError(f"cyclotomic index must be >= 1, got {n}")
-    r = radical(n)
-    base = _cyclotomic_squarefree(r)
-    if r == n:
-        return base
-    m = n // r
-    out = [0] * (base.degree * m + 1)
-    for i, c in enumerate(base.coeffs):
-        out[i * m] = c
-    return IntPoly(out)
-
-
 def cyclotomic_value(n: int, x: int) -> int:
     """Phi_n(x) for integer x.
 
@@ -263,7 +242,7 @@ def cyclotomic_value(n: int, x: int) -> int:
     r = radical(n)
     y = x ** (n // r)
     if abs(x) < 2:
-        return _cyclotomic_squarefree(r)(y)
+        return cyclotomic(r)(y)
     num = den = 1
     for d in divisors(r):
         if mobius(r // d) == 1:

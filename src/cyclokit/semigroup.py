@@ -218,15 +218,14 @@ def _fk_expected_pattern(k: int) -> tuple[int, ...]:
     return ()
 
 
-def fk_no_other_cyclotomic_factors(k: int, N: int = 15) -> bool:
+def fk_no_other_cyclotomic_factors(k: int) -> bool:
     """True when no Phi_n with n outside {6, 10, 12} divides f_k.
 
-    Decided by the complete factorization factor_kronecker(f_k); the search
-    cap N is only validated, since that factorization already covers every n
-    with phi(n) <= deg f_k.
+    Decided by the complete factorization factor_kronecker(f_k), which covers
+    every n with phi(n) <= deg f_k.
     """
-    if k < 1 or N < 15:
-        raise InputError("need k >= 1 and a search cap N >= 15")
+    if k < 1:
+        raise InputError("need k >= 1")
     return set(factor_kronecker(fk_poly(k)).factors) <= set(_FK_DIVISOR_TABLE)
 
 
@@ -333,14 +332,13 @@ def fk_theorem_sweep(k_max: int) -> list[dict]:
         cert = certify(f)
         if (k <= 4) != cert.is_kronecker:
             raise InvariantError(f"S_k cyclotomicity wrong at k={k}: {cert.verdict}")
-        fac = cert.factorization or factor_kronecker(f)
         rows.append(
             {
                 "k": k,
                 "F_k": int(f_k_value),
                 "gcd_pattern": list(pattern),
                 "verdict": cert.verdict,
-                "factorization": fac.to_json_obj(),
+                "factorization": cert.factorization.to_json_obj(),
             }
         )
     return rows

@@ -270,6 +270,17 @@ def test_factorize_guardrail_exits_2(capsys, monkeypatch):
     assert "PRIME_SIEVE_LIMIT" in err
 
 
+def test_table_index_guardrail_exits_2(capsys):
+    from cyclokit.combinat import TABLE_INDEX_LIMIT as n
+
+    assert run(capsys, "stirling", "2", str(n), str(n - 1)) == (0, str(n * (n - 1) // 2), "")
+    assert run(capsys, "stirling", "1", str(n), str(n))[:2] == (0, "1")
+    for argv in (["bernoulli", str(n + 1)], ["stirling", "1", str(n + 1), "1"], ["stirling", "2", str(n + 1), "3"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "TABLE_INDEX_LIMIT" in err and "Traceback" not in err
+
+
 # Argument shapes for every subcommand; N and T take a drawn token.  No
 # --dump-coeffs (it writes a file), and the tokens are never positive sizes,
 # so no case can ask for huge but valid work.

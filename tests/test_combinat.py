@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclokit import combinat as cb
-from cyclokit.errors import DomainError, InputError
+from cyclokit import numtheory as nt
+from cyclokit.errors import DomainError, InputError, ResourceError
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
@@ -22,6 +23,29 @@ def test_bernoulli_small_values():
     assert cb.bernoulli_minus(0) == 1
     assert cb.bernoulli_minus(1) == Fraction(-1, 2)
     assert cb.bernoulli_minus(2) == Fraction(1, 6)
+
+
+def test_tables_answer_at_the_index_limit_and_refuse_above_it():
+    n = cb.TABLE_INDEX_LIMIT
+    assert cb.stirling_first(n, n) == cb.stirling_second(n, n) == cb.stirling_second(n, 1) == 1
+    assert cb.stirling_first(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+    assert cb.stirling_second(n, n - 1) == comb(n, 2)
+    # von Staudt-Clausen: the denominator of B_n (n even) is the product of
+    # the primes p with (p - 1) | n, and the sign of B_n is (-1)^(n/2 + 1)
+    assert n % 2 == 0
+    b = cb.bernoulli_plus(n)
+    assert b.denominator == prod(p for p in nt.primes_up_to(n + 1) if n % (p - 1) == 0)
+    assert (b > 0) == (n % 4 == 2)
+    for call in (
+        lambda: cb.bernoulli_plus(n + 1),
+        lambda: cb.bernoulli_minus(n + 1),
+        lambda: cb.stirling_first(n + 1, 1),
+        lambda: cb.stirling_second(n + 1, 1),
+    ):
+        with pytest.raises(ResourceError, match="TABLE_INDEX_LIMIT"):
+            call()
+    # past the row there is nothing to build, so no refusal
+    assert cb.stirling_first(n + 1, n + 2) == cb.stirling_second(n + 1, n + 2) == 0
 
 
 def test_bernoulli_plus_minus_agree_off_one():

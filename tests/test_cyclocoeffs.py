@@ -84,7 +84,7 @@ def test_coeff_taylor_from_one():
     assert cc.coeff_taylor_from_one(6, 1) == -1
     assert cc.coeff_taylor_from_one(12, 2) == -1
     with pytest.raises(ResourceError):
-        cc.coeff_taylor_from_one(211, 1)  # phi = 210 over the default cap
+        cc.coeff_taylor_from_one(211, 1)  # phi = 210 over TAYLOR_FROM_ONE_CAP
     with pytest.raises(InputError):
         cc.coeff_taylor_from_one(5, 5)
 
@@ -148,4 +148,4 @@ def test_recurrence_returns_zeros_beyond_degree():
 
 def test_coeff_all_methods():
     assert cc.coeff_all_methods(105, 7) == -2
-    assert cc.coeff_all_methods(12, 2, include_taylor=True) == -1
+    assert cc.coeff_all_methods(12, 2) == cc.coeff_taylor_from_one(12, 2) == -1

@@ -26,6 +26,10 @@ def fk(k):
     return IntPoly(out)
 
 
+def excluded(f):
+    return kr.excluded_set(f, kr.factor_kronecker(f).factors)
+
+
 def test_fk_construction():
     assert fk(1) == pr.cyclotomic(6)
     assert fk(2) == pr.cyclotomic(10)
@@ -113,15 +117,19 @@ def test_jordan_sum_recovery_product():
 
 def test_odd_identity_check():
     # Kronecker products pass
-    f = pr.cyclotomic(6) * pr.cyclotomic(12) ** 2
-    assert kr.odd_identity_check(f, 3) is None
-    assert kr.odd_identity_check(f, 5) is None
+    logs = kr.log_rows(pr.cyclotomic(6) * pr.cyclotomic(12) ** 2)
+    assert kr.odd_identity_check(logs, 3) is None
+    assert kr.odd_identity_check(logs, 5) is None
+    # a row holds orders 1..5 only
+    for k in (1, 4, 7):
+        with pytest.raises(InputError):
+            kr.odd_identity_check(logs, k)
     # the f_k family satisfies the odd identities despite being non-Kronecker
     for k in (5, 7, 9):
-        assert kr.odd_identity_check(fk(k), 3) is None
-        assert kr.odd_identity_check(fk(k), 5) is None
+        assert kr.odd_identity_check(kr.log_rows(fk(k)), 3) is None
+        assert kr.odd_identity_check(kr.log_rows(fk(k)), 5) is None
     # a non-reciprocal polynomial with roots off the unit circle fails
-    cert = kr.odd_identity_check(IntPoly((3, -3, 1)), 3)
+    cert = kr.odd_identity_check(kr.log_rows(IntPoly((3, -3, 1))), 3)
     assert cert is not None
     assert cert.reason == kr.REASON_ODD_IDENTITY
     assert cert.witnesses[-1] != 0
@@ -130,7 +138,7 @@ def test_odd_identity_check():
 def test_excluded_set_fk():
     for k in (5, 6, 8, 11):
         f = fk(k)
-        ex = kr.excluded_set(f)
+        ex = excluded(f)
         assert ex.excludes(1)
         # every prime power is excluded (f_k(1) = 1)
         for d in (2, 3, 4, 5, 7, 8, 9, 16, 25, 121):
@@ -148,7 +156,7 @@ def test_excluded_set_fk():
 
 def test_excluded_set_hypothesis_skip():
     # f = Phi_2 * Phi_3: zeta_2 is a root, so every m >= 2 is skipped
-    ex = kr.excluded_set(pr.cyclotomic(2) * pr.cyclotomic(3))
+    ex = excluded(pr.cyclotomic(2) * pr.cyclotomic(3))
     assert 2 in ex.skipped
     assert all(m != 2 for m, _ in ex.allowed_primes)
 
@@ -156,7 +164,7 @@ def test_excluded_set_hypothesis_skip():
 def test_excluded_set_allows_prime_factors():
     # f(1) = 6 keeps the 2^j and 3^j families alive at m = 1
     f = pr.cyclotomic(2) * pr.cyclotomic(9)  # f(1) = 2 * 3
-    ex = kr.excluded_set(f)
+    ex = excluded(f)
     assert not ex.excludes(2)
     assert not ex.excludes(9)
     assert ex.excludes(25)
@@ -174,7 +182,7 @@ def test_mu_c():
     assert kr.mu_C(2, generic.with_extra([6, 10])) == 24
     # per-instance sets are at least as sharp
     for k in (5, 6, 8):
-        assert kr.mu_C(2, kr.excluded_set(fk(k))) >= 12
+        assert kr.mu_C(2, excluded(fk(k))) >= 12
 
 
 def test_even_bound_check_fires_for_fk():
@@ -182,25 +190,29 @@ def test_even_bound_check_fires_for_fk():
     # excluded set and raises the minimum ratio
     for k in (5, 6, 7, 12, 15, 16, 52):
         f = fk(k)
-        C = kr.excluded_set(f)
+        C = excluded(f)
         small = kr._small_low_ratio_indices(2, C)
         known = {d: pr.multiplicity(f, pr.cyclotomic(d)) for d in small}
-        cert = kr.even_bound_check(f, 2, C, known_divisors=known)
+        cert = kr.even_bound_check(kr.log_rows(f), 2, f.degree, C, known)
         assert cert is not None and cert.reason == kr.REASON_EVEN_BOUND
     # and does not fire for the Kronecker members k <= 4
     for k in (1, 2, 3, 4):
         f = fk(k)
-        C = kr.excluded_set(f)
+        C = excluded(f)
         small = kr._small_low_ratio_indices(2, C)
         known = {d: pr.multiplicity(f, pr.cyclotomic(d)) for d in small}
-        assert kr.even_bound_check(f, 2, C, known_divisors=known) is None
+        assert kr.even_bound_check(kr.log_rows(f), 2, f.degree, C, known) is None
 
 
 def test_even_bound_no_fire_on_kronecker_products():
     f = pr.cyclotomic(6) * pr.cyclotomic(12)
-    C = kr.excluded_set(f)
-    assert kr.even_bound_check(f, 2, C) is None
-    assert kr.even_bound_check(f, 4, C) is None
+    C = excluded(f)
+    logs = kr.log_rows(f)
+    assert kr.even_bound_check(logs, 2, f.degree, C, {}) is None
+    assert kr.even_bound_check(logs, 4, f.degree, C, {}) is None
+    for k in (0, 3, 6):
+        with pytest.raises(InputError):
+            kr.even_bound_check(logs, k, f.degree, C, {})
 
 
 def test_certify_f7():
@@ -331,7 +343,7 @@ def test_excluded_set_keeps_every_dividing_index():
         f = f * cofactor
         fac = kr.factor_kronecker(f)
         assert fac.reconstruct() == f
-        ex = kr.excluded_set(f)
+        ex = kr.excluded_set(f, fac.factors)
         for d in fac.factors:
             assert not ex.excludes(d), (f, d, ex.describe())
 
@@ -339,7 +351,7 @@ def test_excluded_set_keeps_every_dividing_index():
 def test_excluded_set_tests_only_primes_up_to_degree_plus_one():
     # |f(1)|^2 = 13^2 for x^2 + 12, but phi(13^j) >= 12 > deg f, so 13 is
     # never tested and its families stay excluded
-    ex = kr.excluded_set(IntPoly((12, 0, 1)))
+    ex = excluded(IntPoly((12, 0, 1)))
     assert [m for m, _ in ex.allowed_primes] == [1, 2, 3, 4, 6]
     assert all(not qs for _, qs in ex.allowed_primes)
     assert ex.excludes(13) and ex.excludes(169)
@@ -490,7 +502,7 @@ def test_certify_divides_and_multiplies_once(monkeypatch):
         assert reconstruct(fac) == f
         e0 = fac.e0
         g = IntPoly(f.coeffs[e0:])
-        for d in kr._small_low_ratio_indices(2, kr.excluded_set(g)):
+        for d in kr._small_low_ratio_indices(2, kr.excluded_set(g, fac.factors)):
             assert fac.factors.get(d, 0) == multiplicity(g, pr.cyclotomic(d)), (f, d)
             checked += 1
     assert products[0] == 0
@@ -545,3 +557,76 @@ def test_certify_refuses_or_decides(f):
     assert f.degree <= 30
     assert cert.factorization.reconstruct() == f
     assert cert.is_kronecker == cert.factorization.is_kronecker
+
+
+def _small_multiplicities_by_screened_division(f):
+    # the multiplicities of Phi_1..Phi_6 by repeated trial division, each
+    # division screened by Phi_d(2) | f(2) and Phi_d(3) | f(3); an oracle for
+    # the small factors that excluded_set reads off factor_kronecker
+    out = {}
+    for d in range(1, 7):
+        g, e = f, 0
+        while g(2) % pr.cyclotomic_value(d, 2) == 0 and g(3) % pr.cyclotomic_value(d, 3) == 0:
+            q = pr.poly_div_exact(g, pr.cyclotomic(d))
+            if q is None:
+                break
+            g, e = q, e + 1
+        out[d] = e
+    return out
+
+
+def test_factor_kronecker_small_multiplicities_match_screened_division():
+    rng = random.Random(606)
+    for _ in range(300):
+        f = IntPoly.monomial(1, rng.choice([0, 0, 1, 2]))
+        for _ in range(rng.randint(0, 4)):
+            f = f * pr.cyclotomic(rng.choice([1, 2, 3, 4, 5, 6, rng.randint(7, 40)])) ** rng.randint(1, 3)
+        f = f * IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))] + [1])
+        fac = kr.factor_kronecker(f)
+        g = IntPoly(f.coeffs[fac.e0 :])
+        want = _small_multiplicities_by_screened_division(g)
+        assert {d: fac.factors.get(d, 0) for d in range(1, 7)} == want, f
+
+
+def test_certify_reads_two_log_rows_and_divides_only_to_factor(monkeypatch):
+    values, divide, factor = kr.log_derivative_values, kr.poly_div_exact, kr.factor_kronecker
+    rows = [0]
+    stray_divisions = [0]
+    factoring = [0]
+
+    def counting_values(*args):
+        rows[0] += 1
+        return values(*args)
+
+    def counting_divide(*args):
+        stray_divisions[0] += factoring[0] == 0
+        return divide(*args)
+
+    def tracked_factor(f):
+        factoring[0] += 1
+        try:
+            return factor(f)
+        finally:
+            factoring[0] -= 1
+
+    for module in (pr, kr):
+        monkeypatch.setattr(module, "log_derivative_values", counting_values)
+        monkeypatch.setattr(module, "poly_div_exact", counting_divide)
+    monkeypatch.setattr(kr, "factor_kronecker", tracked_factor)
+    rng = random.Random(1357)
+    inputs = [fk(k) for k in range(1, 40)]
+    for _ in range(80):
+        f = IntPoly.monomial(1, rng.choice([0, 0, 1, 3]))
+        for _ in range(rng.randint(1, 4)):
+            f = f * pr.cyclotomic(rng.randint(1, 60)) ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            f = f * IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 5))] + [1])
+        inputs.append(f)
+    reasons = set()
+    for f in inputs:
+        rows[0] = 0
+        cert = kr.certify(f)
+        assert rows[0] <= 2, (f, rows[0])
+        reasons.add(cert.reason)
+    assert stray_divisions[0] == 0
+    assert {kr.REASON_EVEN_BOUND, kr.REASON_ODD_IDENTITY, None} <= reasons

@@ -302,6 +302,23 @@ def test_log_derivative_values_match_synthetic_division(coeffs, x, K, root):
     assert pr.log_derivative_values(f, K, x) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(int_polys, shift_points, st.integers(0, 8), st.integers(0, 8), st.booleans())
+def test_log_derivative_values_prefix_property(f, x, K, k, root):
+    # the first k values of order K are the values of order k, poles included
+    k = min(k, K)
+    if root:  # times q y - p for x = p/q, so that f vanishes at x
+        f = f * IntPoly((-x.numerator, x.denominator))
+    try:
+        full = pr.log_derivative_values(f, K, x)
+    except PoleError:
+        if k:
+            with pytest.raises(PoleError):
+                pr.log_derivative_values(f, k, x)
+        return
+    assert full[:k] == pr.log_derivative_values(f, k, x)
+
+
 def _fact(n):
     out = 1
     for i in range(2, n + 1):
@@ -401,13 +418,18 @@ def test_eval_at_root_of_unity_matches_division(f, m):
 def test_cyclotomic_value_matches_polynomial():
     for n in range(1, 2000):
         f = pr.cyclotomic(n)
-        for a in (2, -2, 3, -3, 5, -7):
+        for a in (2, -2, 3, -3, 5, -7, 0, 1, -1):
             assert pr.cyclotomic_value(n, a) == f(a), (n, a)
 
 
 def test_poly_div_exact():
     assert pr.poly_div_exact(pr.xn_minus_1(6), pr.cyclotomic(6)) == pr.inverse_cyclotomic(6)
     assert pr.poly_div_exact(IntPoly((1, 0, 1)), IntPoly((1, 1))) is None
+    # a dividend of lower degree than the divisor divides only when it is zero
+    assert pr.poly_div_exact(IntPoly(), pr.cyclotomic(6)) == IntPoly()
+    assert pr.poly_div_exact(IntPoly((1, 1)), pr.cyclotomic(6)) is None
+    with pytest.raises(InputError):
+        pr.poly_div_exact(IntPoly((1, 1)), IntPoly())
     with pytest.raises(InputError):
         pr.poly_div_exact(IntPoly((1, 0, 1)), IntPoly((1, 2)))
     f3 = IntPoly((1, -1, 0, 1, 0, -1, 1))  # 1 - x + x^3 - x^5 + x^6
