@@ -56,7 +56,6 @@ from .kronecker import (
     mu_C,
     odd_identity_check,
     sign_tests,
-    stirling_logderiv_sum,
 )
 from .numtheory import (
     alpha,

@@ -260,6 +260,8 @@ def _cmd_frobenius_family(args):
 
 def _cmd_tables(args):
     if args.which == "c":
+        # row k needs the Stirling row k, so refuse before building row 1
+        combinat.check_table_index(args.max)
         rows = []
         lines = []
         for k in range(1, args.max + 1):

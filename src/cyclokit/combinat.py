@@ -32,10 +32,15 @@ _S1_ROWS: list[tuple[int, ...]] = [(1,)]  # signed first kind, row k has indices
 _S2_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
-def _table_entry(table: list, n: int, step):
-    # table[n], appending step(m, table) for m = len(table), ..., n first
+def check_table_index(n: int) -> None:
+    """Raise ResourceError for an index above TABLE_INDEX_LIMIT."""
     if n > TABLE_INDEX_LIMIT:
         raise ResourceError(f"index {n} exceeds the guardrail TABLE_INDEX_LIMIT = {TABLE_INDEX_LIMIT}")
+
+
+def _table_entry(table: list, n: int, step):
+    # table[n], appending step(m, table) for m = len(table), ..., n first
+    check_table_index(n)
     while len(table) <= n:
         table.append(step(len(table), table))
     return table[n]

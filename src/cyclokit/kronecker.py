@@ -23,17 +23,22 @@ real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
 sums, and the even-order Jordan-totient lower bounds refined through
 root-of-unity exclusions and the multiplicities the factorization found.
 The Stirling stages all read one row (log f)^(j)(+-1), j <= 5, per point:
-the values of order k are its first k entries.  Every certificate carries
-the witness values needed to recheck it without re-running the search.
+the values of order k are its first k entries, summed in integers over their
+common denominator.  The bounds need the least ratio J_k(j)/phi(j) over the
+indices j outside the exclusions and the indices of the three least ratios;
+both are read off one walk over the indices in ascending ratio order.  Every
+certificate carries the witness values needed to recheck it without
+re-running the search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import lcm
 
 from .combinat import bernoulli_plus, stirling_second
 from .errors import InputError, InvariantError, PoleError
@@ -288,21 +293,15 @@ def sign_tests(f: IntPoly) -> Certificate | None:
 # Stirling-weighted logarithmic-derivative machinery
 
 def _stirling_sum_from_values(vals: list[Fraction], k: int, point: int) -> Fraction:
-    return sum(point ** j * stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1))
-
-
-def stirling_logderiv_sum(f: IntPoly, k: int, point: int) -> Fraction:
-    """sum_j {k,j} (log f)^(j)(1), or the sign-alternating sum at -1.
-
-    For Kronecker f this equals (B_k^+/k) sum e_d J_k(d) at +1 (J_k(d alpha_d)
-    at -1), independently of the monomial exponent e0 once k >= 2.
-    """
-    if k < 2:
-        raise InputError("the Stirling-weighted sums are defined for k >= 2")
-    if point not in (1, -1):
-        raise InputError("point must be +1 or -1")
-    vals = log_derivative_values(f, k, point)
-    return _stirling_sum_from_values(vals, k, point)
+    # sum_{j <= k} point^j {k, j} vals[j - 1], over the common denominator of
+    # the first k values, so the sum itself runs in integers
+    vals = vals[:k]
+    den = lcm(*(v.denominator for v in vals))
+    num = sum(
+        point ** j * stirling_second(k, j) * v.numerator * (den // v.denominator)
+        for j, v in enumerate(vals, 1)
+    )
+    return Fraction(num, den)
 
 
 LOG_ROW_ORDER = 5
@@ -416,50 +415,75 @@ def excluded_set(f: IntPoly, factors: dict[int, int]) -> ExcludedIndices:
 
 
 _MU_SCAN_LIMIT = 10 ** 6
+_RATIO_WALK_START = 128  # limit of the first ratio table; doubled as a walk needs
 
 
-def jordan_phi_ratio(k: int, d: int) -> Fraction:
-    return Fraction(jordan_totient(k, d), euler_phi(d))
+@lru_cache(maxsize=16)
+def _ratio_table(k: int, limit: int) -> tuple[tuple[int, int], ...]:
+    # (psi_k(j), j) for 2 <= j <= limit, ascending.  psi_k is multiplicative
+    # with psi_k(p^e) = p^((k-1)(e-1)) (p^k - 1)/(p - 1), so one pass over the
+    # multiples of each prime power p^e <= limit builds every value
+    psi = [1] * (limit + 1)
+    primes = primes_up_to(limit)
+    for p in primes[: bisect_right(primes, limit)]:
+        step = (p ** k - 1) // (p - 1)
+        q = p
+        while q <= limit:
+            for m in range(q, limit + 1, q):
+                psi[m] *= step
+            step = p ** (k - 1)
+            q *= p
+    return tuple(sorted(zip(psi[2:], range(2, limit + 1))))
+
+
+def _ratio_walk(k: int, C: ExcludedIndices) -> Iterator[tuple[int, int]]:
+    """(psi_k(j), j) for the indices j >= 2 outside C, in ascending order,
+    where psi_k(j) = J_k(j)/phi(j) is an integer.
+
+    psi_k(j) >= j^(k-1), so the table of the j <= L holds, in their global
+    order, every index with psi_k(j) <= L^(k-1); the walk reads that part of
+    it and moves on to the table for 2L when the caller asks for more.
+    """
+    done = 0  # every index with psi_k(j) <= done has been walked
+    limit = _RATIO_WALK_START
+    while True:
+        table = _ratio_table(k, limit)
+        bound = limit ** (k - 1)
+        for i in range(bisect_left(table, (done + 1,)), bisect_left(table, (bound + 1,))):
+            r, j = table[i]
+            if not C.excludes(j):
+                yield r, j
+        if limit == _MU_SCAN_LIMIT:
+            raise InvariantError("mu_C scan exhausted; excluded set admits no index")
+        done, limit = bound, min(2 * limit, _MU_SCAN_LIMIT)
 
 
 def mu_C(k: int, C: ExcludedIndices) -> Fraction:
     """min of J_k(j)/phi(j) over indices j outside C, for k >= 2.
 
-    The ratio is at least j^(k-1): it equals j^(k-1) prod_p over p | j of
-    (1 - p^-k)/(1 - p^-1), and every factor is at least 1.  The ascending
-    scan therefore stops as soon as j^(k-1) passes the best value found.
+    The ratio is the integer psi_k(j) = prod_{p^e || j} p^((k-1)(e-1))
+    (p^k - 1)/(p - 1), at least j^(k-1); the minimum is the first value of
+    the walk over the indices outside C in ascending ratio order.
     """
     if k < 2:
         raise InputError("mu_C is used for k >= 2")
-    best: Fraction | None = None
-    j = 2
-    while j <= _MU_SCAN_LIMIT:
-        if best is not None and j ** (k - 1) > best:
-            return best
-        if not C.excludes(j):
-            r = jordan_phi_ratio(k, j)
-            if best is None or r < best:
-                best = r
-        j += 1
-    raise InvariantError("mu_C scan exhausted; excluded set admits no index")
+    return Fraction(next(_ratio_walk(k, C))[0])
 
 
 def _small_low_ratio_indices(k: int, C: ExcludedIndices) -> list[int]:
-    # indices below the current minimum ratio, grown fixpoint-style for at
-    # most three rounds; these get their multiplicities determined exactly
-    # before the bound is applied
+    # the indices outside C whose ratio is among the three smallest values
+    # there; these get their multiplicities determined exactly before the
+    # bound is applied
     small: list[int] = []
-    for _ in range(3):
-        mu = mu_C(k, C.with_extra(small))
-        added = False
-        for j in range(2, floor(mu) + 1):
-            if j in small or C.excludes(j):
-                continue
-            if jordan_phi_ratio(k, j) <= mu:
-                small.append(j)
-                added = True
-        if not added:
-            break
+    values = 0
+    last = None
+    for r, j in _ratio_walk(k, C):
+        if r != last:
+            if values == 3:
+                break
+            values += 1
+            last = r
+        small.append(j)
     return sorted(small)
 
 

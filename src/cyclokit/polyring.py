@@ -157,16 +157,15 @@ def poly_div_exact(f: IntPoly, g: IntPoly) -> IntPoly | None:
     if f.degree < dg:
         return IntPoly() if f.is_zero() else None
     rem = list(f.coeffs)
-    quot = [0] * (f.degree - dg + 1)
-    gbody = g.coeffs[:-1]
+    terms = [(j, c) for j, c in enumerate(g.coeffs[:-1]) if c]
     for i in range(f.degree - dg, -1, -1):
         q = rem[i + dg]
         if q:
-            quot[i] = q
-            for j, c in enumerate(gbody):
-                if c:
-                    rem[i + j] -= q * c
-    return None if any(rem[:dg]) else IntPoly(quot)
+            for j, c in terms:
+                rem[i + j] -= q * c
+    # step i reads rem[i + dg] and writes only below it, so rem[dg:] ends as
+    # the quotient
+    return None if any(rem[:dg]) else IntPoly(rem[dg:])
 
 
 def multiplicity(f: IntPoly, g: IntPoly) -> int:

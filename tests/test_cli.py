@@ -281,6 +281,38 @@ def test_table_index_guardrail_exits_2(capsys):
         assert "TABLE_INDEX_LIMIT" in err and "Traceback" not in err
 
 
+def test_tables_c_refuses_before_building_a_row(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from cyclokit import cycloderiv
+    from cyclokit.combinat import TABLE_INDEX_LIMIT as n
+
+    def no_row(k):
+        raise AssertionError(f"row {k} built before the guardrail refused")
+
+    monkeypatch.setattr(cycloderiv, "c_table", no_row)
+    code, out, err = run(capsys, "tables", "c", "--max", str(n + 1))
+    assert (code, out) == (2, "")
+    assert "TABLE_INDEX_LIMIT" in err and "Traceback" not in err
+    # at the limit every row is asked for; a stub row keeps it cheap
+    built = []
+    monkeypatch.setattr(cycloderiv, "c_table", lambda k: built.append(k) or SimpleNamespace(entries=(k,)))
+    code, out, _ = run(capsys, "tables", "c", "--max", str(n))
+    assert code == 0 and built == list(range(1, n + 1))
+    assert out.splitlines()[-1] == f"k={n}: {n}/1"
+
+
+def test_moller_guardrail_exits_2(capsys):
+    from cyclokit.cyclocoeffs import MOLLER_K_CAP as k, coeff_direct
+
+    want = str(coeff_direct(2310, k))
+    assert run(capsys, "coeff", "2310", str(k), "--method", "moller") == (0, want, "")
+    for method in ("moller", "all"):
+        code, _, err = run(capsys, "coeff", "2310", str(k + 1), "--method", method)
+        assert code == 2, method
+        assert "MOLLER_K_CAP" in err and "Traceback" not in err
+
+
 # Argument shapes for every subcommand; N and T take a drawn token.  No
 # --dump-coeffs (it writes a file), and the tokens are never positive sizes,
 # so no case can ask for huge but valid work.

@@ -27,6 +27,16 @@ def test_coeff_moller():
         assert cc.coeff_moller(n, 2) == (mu1 * mu1 - mu1 - 2 * mu2) // 2
 
 
+def test_coeff_moller_guardrail():
+    k = cc.MOLLER_K_CAP
+    assert k >= 32  # the benchmark's coefficient sweep asks for k <= 32
+    for n in (2310, 30030):
+        assert cc.coeff_moller(n, k) == cc.coeff_direct(n, k)
+    for call in (cc.coeff_moller, cc.coeff_all_methods):
+        with pytest.raises(ResourceError):
+            call(30030, k + 1)
+
+
 def _binom_mu(mu, lam):
     # generalized binomial C(mu, lam) for mu in {-1, 0, 1}
     if lam == 0:

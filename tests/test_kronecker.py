@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import takewhile
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from cyclokit import kronecker as kr
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
+from cyclokit.combinat import stirling_second
 from cyclokit.errors import InputError, InvariantError
 from cyclokit.polyring import IntPoly
 
@@ -84,26 +87,54 @@ def test_sign_tests():
     assert cert is None
 
 
+def stirling_logderiv_sum(f, k, point):
+    """sum_j {k,j} (log f)^(j)(1), or the sign-alternating sum at -1, added
+    term by term in Fractions: the oracle for kronecker's integer sum.
+
+    For Kronecker f this equals (B_k^+/k) sum e_d J_k(d) at +1 (J_k(d alpha_d)
+    at -1), independently of the monomial exponent e0 once k >= 2.
+    """
+    vals = pr.log_derivative_values(f, k, point)
+    return sum(point ** j * stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1))
+
+
 def test_stirling_logderiv_sum_on_cyclotomics():
     # (B_k^+/k) J_k(n) at +1 and (B_k^+/k) J_k(n alpha_n) at -1
     from cyclokit.combinat import bernoulli_plus
 
     for n in range(2, 31):
         f = pr.cyclotomic(n)
+        row = pr.log_derivative_values(f, 6, 1)
         for k in range(2, 7):
             want = bernoulli_plus(k) / k * nt.jordan_totient(k, n)
-            assert kr.stirling_logderiv_sum(f, k, 1) == want
+            assert stirling_logderiv_sum(f, k, 1) == want
+            assert kr._stirling_sum_from_values(row, k, 1) == want
         if n != 2:
+            row = pr.log_derivative_values(f, 6, -1)
             for k in range(2, 7):
                 want = bernoulli_plus(k) / k * nt.jordan_totient(k, nt.n_alpha(n))
-                assert kr.stirling_logderiv_sum(f, k, -1) == want
+                assert stirling_logderiv_sum(f, k, -1) == want
+                assert kr._stirling_sum_from_values(row, k, -1) == want
+
+
+_row_entries = st.one_of(st.just(0), st.integers(-(10 ** 6), 10 ** 6), st.fractions(max_denominator=10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([1, -1]), st.lists(_row_entries, min_size=5, max_size=5))
+def test_stirling_sum_from_values_matches_fraction_sum(k, point, row):
+    # the row may be longer than k, as certify's rows of order 5 are
+    want = sum((point ** j * stirling_second(k, j) * Fraction(row[j - 1]) for j in range(1, k + 1)), Fraction(0))
+    got = kr._stirling_sum_from_values(row, k, point)
+    assert isinstance(got, Fraction)
+    assert got == want
 
 
 def test_fk_jordan_sum_value():
     # F_k = (2/B_2^+)((log f_k)'(1) + (log f_k)''(1)) = 48k - 24
     for k in range(1, 13):
         f = fk(k)
-        total = 12 * kr.stirling_logderiv_sum(f, 2, 1)
+        total = 12 * stirling_logderiv_sum(f, 2, 1)
         assert total == 48 * k - 24
         assert f.derivative(2)(1) == k * k + 3 * k - 2
         assert pr.log_derivative_oracle(f, 2, 1) == 3 * k - 2
@@ -111,7 +142,7 @@ def test_fk_jordan_sum_value():
 
 def test_jordan_sum_recovery_product():
     f = pr.cyclotomic(6) * pr.cyclotomic(10) * pr.cyclotomic(12)
-    total = 12 * kr.stirling_logderiv_sum(f, 2, 1)
+    total = 12 * stirling_logderiv_sum(f, 2, 1)
     assert total == nt.jordan_totient(2, 6) + nt.jordan_totient(2, 10) + nt.jordan_totient(2, 12)
 
 
@@ -183,6 +214,98 @@ def test_mu_c():
     # per-instance sets are at least as sharp
     for k in (5, 6, 8):
         assert kr.mu_C(2, excluded(fk(k))) >= 12
+
+
+def _mu_c_scan(k, C):
+    # the ascending scan over every j: J_k(j)/phi(j) >= j^(k-1), so it stops
+    # once j^(k-1) passes the best ratio found
+    best = None
+    j = 2
+    while best is None or j ** (k - 1) <= best:
+        if not C.excludes(j):
+            r = Fraction(nt.jordan_totient(k, j), nt.euler_phi(j))
+            if best is None or r < best:
+                best = r
+        j += 1
+    return best
+
+
+def _small_low_ratio_fixpoint(k, C):
+    # indices below the current minimum ratio, grown fixpoint-style for at
+    # most three rounds; an index above mu^(1/(k-1)) cannot have ratio <= mu,
+    # which keeps the rounds short at k = 6, 8
+    small = []
+    for _ in range(3):
+        mu = _mu_c_scan(k, C.with_extra(small))
+        added = False
+        for j in range(2, floor(mu) + 1):
+            if j ** (k - 1) > mu:
+                break
+            if j in small or C.excludes(j):
+                continue
+            if Fraction(nt.jordan_totient(k, j), nt.euler_phi(j)) <= mu:
+                small.append(j)
+                added = True
+        if not added:
+            break
+    return sorted(small)
+
+
+def _random_excluded(rng):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    handled = tuple(
+        (m, frozenset(q for q in primes if rng.random() < 0.3))
+        for m in (1, 2, 3, 4, 6)
+        if rng.random() < 0.7
+    )
+    extra = frozenset(rng.sample(range(2, 90), rng.randint(0, 15)))
+    return kr.ExcludedIndices(handled, extra=extra)
+
+
+def test_ratio_walk_matches_ascending_scan():
+    rng = random.Random(1609)
+    for _ in range(400):
+        C = _random_excluded(rng)
+        for k in (2, 4, 6, 8):
+            assert kr.mu_C(k, C) == _mu_c_scan(k, C), (k, C)
+            assert kr._small_low_ratio_indices(k, C) == _small_low_ratio_fixpoint(k, C), (k, C)
+
+
+def test_ratio_walk_order_across_tables():
+    # with top = 300 the walk reads the tables for 128 up to 512; every j with
+    # ratio <= top^(k-1) is at most top
+    rng = random.Random(5)
+    top = 300
+    for C in (kr.ExcludedIndices(()), _random_excluded(rng), _random_excluded(rng)):
+        for k in (2, 4, 6, 8):
+            bound = top ** (k - 1)
+            want = sorted(
+                (r, j)
+                for j in range(2, top + 1)
+                if not C.excludes(j) and (r := nt.jordan_totient(k, j) // nt.euler_phi(j)) <= bound
+            )
+            assert list(takewhile(lambda e: e[0] <= bound, kr._ratio_walk(k, C))) == want
+
+
+def test_ratio_table_is_jordan_over_phi():
+    # psi_k(j) = J_k(j)/phi(j) is an integer of at least j^(k-1)
+    for k in range(1, 9):
+        table = kr._ratio_table(k, 2000)
+        assert list(table) == sorted(table)
+        assert sorted(j for _, j in table) == list(range(2, 2001))
+        for r, j in table:
+            assert nt.jordan_totient(k, j) == r * nt.euler_phi(j)
+            assert r >= j ** (k - 1)
+
+
+def test_mu_c_exhausted_scan_raises(monkeypatch):
+    # an excluded set that admits no index up to the scan limit
+    monkeypatch.setattr(kr, "_MU_SCAN_LIMIT", 256)
+    C = kr.ExcludedIndices((), extra=frozenset(range(2, 257)))
+    with pytest.raises(InvariantError):
+        kr.mu_C(2, C)
+    # below the limit the walk still answers: 211 is the least index left
+    assert kr.mu_C(2, kr.ExcludedIndices((), extra=frozenset(range(2, 200)))) == 212
 
 
 def test_even_bound_check_fires_for_fk():

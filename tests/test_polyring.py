@@ -436,6 +436,41 @@ def test_poly_div_exact():
     assert pr.poly_div_exact(f3, pr.cyclotomic(6) * pr.cyclotomic(12)) == IntPoly((1,))
 
 
+def _poly_div_schoolbook(f, g):
+    # long division over every coefficient of the monic g, with the quotient
+    # collected in its own list
+    dg = g.degree
+    if f.degree < dg:
+        return IntPoly() if f.is_zero() else None
+    rem = list(f.coeffs)
+    quot = [0] * (f.degree - dg + 1)
+    for i in range(f.degree - dg, -1, -1):
+        quot[i] = q = rem[i + dg]
+        for j, c in enumerate(g.coeffs[:-1]):
+            rem[i + j] -= q * c
+    return None if any(rem[:dg]) else IntPoly(quot)
+
+
+# monic divisors whose lower coefficients are mostly zero, like the Phi_d
+sparse_monic = st.lists(
+    st.one_of(st.just(0), st.just(0), st.integers(-3, 3)), max_size=12
+).map(lambda body: IntPoly(body + [1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_monic, st.lists(st.integers(-5, 5), max_size=10), small_polys, st.booleans())
+def test_poly_div_exact_matches_schoolbook(g, quotient, extra, divisible):
+    # divisible inputs are g times a quotient; the others add a perturbation
+    # that usually leaves a remainder
+    f = g * IntPoly(quotient)
+    if not divisible:
+        f = f + extra
+    want = _poly_div_schoolbook(f, g)
+    assert pr.poly_div_exact(f, g) == want
+    if divisible:
+        assert want == IntPoly(quotient)
+
+
 def test_multiplicity():
     f = pr.cyclotomic(6) ** 3 * pr.cyclotomic(4)
     assert pr.multiplicity(f, pr.cyclotomic(6)) == 3
