@@ -8,7 +8,6 @@ from .combinat import (
     bernoulli_minus,
     bernoulli_plus,
     exp_transform,
-    partitions,
     stirling_first,
     stirling_second,
 )
@@ -70,6 +69,7 @@ from .polyring import (
     IntPoly,
     coxeter_poly,
     cyclotomic,
+    cyclotomic_product,
     eval_at_root_of_unity,
     inverse_cyclotomic,
     is_self_reciprocal,
@@ -78,7 +78,6 @@ from .polyring import (
     norm_at_root_of_unity,
     parse_poly,
     poly_div_exact,
-    self_reciprocal_first_derivative,
 )
 from .semigroup import (
     NumericalSemigroup,

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import combinat, cyclocoeffs, cycloderiv, kronecker, numtheory, polyring, semigroup
-from .errors import CyclokitError, InputError, InvariantError
+from .errors import CyclokitError, InputError, InvariantError, ResourceError
 from .kronecker import _rat_str as _rat
 from .polyring import IntPoly
 
@@ -57,8 +57,6 @@ def _read_poly(args) -> IntPoly:
 def _cmd_phi(args):
     phi_n = numtheory.euler_phi(args.n)
     if phi_n > polyring.DEGREE_GUARDRAIL and not args.force:
-        from .errors import ResourceError
-
         raise ResourceError(
             f"phi({args.n}) = {phi_n} exceeds the guardrail; pass --force to proceed"
         )
@@ -142,24 +140,34 @@ def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
     return None
 
 
+def _family_poly(family: str, n: int) -> IntPoly:
+    # Phi_n or Psi_n = (x^n - 1) / Phi_n, refused before it is built when its
+    # degree is above the guardrail
+    phi_n = numtheory.euler_phi(n)
+    degree = phi_n if family == "phi" else n - phi_n
+    if degree > polyring.DEGREE_GUARDRAIL:
+        raise ResourceError(
+            f"degree {degree} exceeds the guardrail DEGREE_GUARDRAIL = {polyring.DEGREE_GUARDRAIL}"
+        )
+    return polyring.cyclotomic(n) if family == "phi" else polyring.inverse_cyclotomic(n)
+
+
 def _cmd_logderiv(args):
     at = _parse_rational(args.at)
     k = args.order
-    if args.family == "poly":
-        f = _read_poly(args)
-        value = polyring.log_derivative_oracle(f, k, at)
-        closed = None
-    else:
+    closed = None
+    if args.family != "poly":
         if args.n is None:
             raise InputError(f"logderiv {args.family} needs the index N")
-        f = polyring.cyclotomic(args.n) if args.family == "phi" else polyring.inverse_cyclotomic(args.n)
         closed = _closed_form_logderiv(args.family, args.n, at, k)
-        value = closed if closed is not None else polyring.log_derivative_oracle(f, k, at)
-    if args.check_oracle:
-        oracle = polyring.log_derivative_oracle(f, k, at)
-        if oracle != value:
+    value = closed
+    # a closed form needs no polynomial; only the oracle builds one
+    if closed is None or args.check_oracle:
+        f = _read_poly(args) if args.family == "poly" else _family_poly(args.family, args.n)
+        value = polyring.log_derivative_oracle(f, k, at)
+        if closed is not None and value != closed:
             raise InvariantError(
-                f"closed form {_rat(value)} disagrees with oracle {_rat(oracle)}"
+                f"closed form {_rat(closed)} disagrees with oracle {_rat(value)}"
             )
     payload = {
         "family": args.family,
@@ -301,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="n-th cyclotomic polynomial")
     p.add_argument("n", type=int)
     p.add_argument("--coeffs", action="store_true", help="print the CSV coefficient list")
-    p.add_argument("--poly", action="store_true", help="print the human form (default)")
     p.add_argument("--dump-coeffs", metavar="FILE", help="write index,coefficient CSV")
     p.add_argument("--force", action="store_true", help="ignore the degree guardrail")
     p.set_defaults(handler=_cmd_phi)

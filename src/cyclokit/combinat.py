@@ -13,7 +13,6 @@ the set-partition interpretation force the multiplier of {k-1, j} to be j.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
@@ -91,25 +90,6 @@ def stirling_second(k: int, j: int) -> int:
     if j > k:
         return 0
     return _table_entry(_S2_ROWS, k, _stirling2_step)[j]
-
-
-@lru_cache(maxsize=None)
-def partitions(k: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of k as multiplicity vectors (l_1, ..., l_k), so that
-    sum(j * l_j) = k.  Returned in ascending lexicographic order.
-
-    >>> partitions(2)
-    ((0, 1), (2, 0))
-    """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    out = []
-    for mults in partitions_into_parts(k, range(1, k + 1)):
-        vec = [0] * k
-        for part, m in mults.items():
-            vec[part - 1] = m
-        out.append(tuple(vec))
-    return tuple(sorted(out))
 
 
 def partitions_into_parts(k: int, parts: Sequence[int]) -> Iterator[dict[int, int]]:

@@ -12,12 +12,14 @@ runs once per binary order of magnitude of the degree and is cached.
 Every division by a Phi_d is screened first by the integer divisibility
 tests Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further
 division by the same Phi_d; only survivors are divided, and only division
-decides.  The factorization is the only place a polynomial is divided: every
-multiplicity the later stages need is read off it.
+decides.  The factorization is the only test of Phi_d-divisibility: every
+multiplicity the later stages need, and the gcd pattern of the semigroup
+family f_k, is read off it.
 
 certify factors first and checks the factorization against f by rebuilding
-the product through the Mobius series Phi_d = prod_{t | d} (1 - x^t)^mu(d/t)
-(Arnold and Monagan), one O(deg) pass per factor (1 - x^t).  The analytic
+the product with polyring.cyclotomic_product, the Mobius series Phi_d =
+prod_{t | d} (1 - x^t)^mu(d/t) (Arnold and Monagan) that builds every product
+of cyclotomic polynomials, one O(deg) pass per factor (1 - x^t).  The analytic
 non-Kronecker certificates follow: sign tests at a few small integers on the
 real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
 sums, and the even-order Jordan-totient lower bounds refined through
@@ -43,17 +45,16 @@ from math import lcm
 from .combinat import bernoulli_plus, stirling_second
 from .errors import InputError, InvariantError, PoleError
 from .numtheory import (
-    divisors,
     euler_phi,
     is_prime_power,
     jordan_totient,
-    mobius,
     prime_power_value,
     primes_up_to,
 )
 from .polyring import (
     IntPoly,
     cyclotomic,
+    cyclotomic_product,
     cyclotomic_value,
     log_derivative_values,
     norm_at_root_of_unity,
@@ -81,36 +82,8 @@ class CycloFactorization:
     remainder: IntPoly
 
     def reconstruct(self) -> IntPoly:
-        """x^e0 * prod Phi_d^(e_d) * remainder, with no polynomial product.
-
-        Phi_d = prod_{t | d} (1 - x^t)^mu(d/t) for d >= 2 and Phi_1 = -(1 - x),
-        so the factors multiply to (-1)^e_1 prod_t (1 - x^t)^n_t with the net
-        exponents n_t = sum_d e_d mu(d/t).  Each factor (1 - x^t)^(+-1) is one
-        pass over the remainder's power series, truncated at the degree
-        deg R + sum_t t n_t of the result; the truncation is exact because the
-        product has exactly that degree.  Work: O(deg) per pass, at most
-        sum_d e_d 2^omega(d) passes.
-        """
-        if self.remainder.is_zero():
-            return IntPoly()
-        net: dict[int, int] = {}
-        for d, e in self.factors.items():
-            if e < 0:
-                raise InputError(f"negative exponent {e} for Phi_{d}")
-            for t in divisors(d):
-                net[t] = net.get(t, 0) + mobius(d // t) * e
-        rem = self.remainder.coeffs
-        deg = len(rem) - 1 + sum(t * n for t, n in net.items())
-        out = list(rem) + [0] * (deg + 1 - len(rem))
-        for t, n in net.items():
-            for _ in range(n):
-                out[t:] = [a - b for a, b in zip(out[t:], out)]
-            for _ in range(-n):
-                for i in range(t, deg + 1):
-                    out[i] += out[i - t]
-        if self.factors.get(1, 0) % 2:
-            out = [-c for c in out]
-        return IntPoly([0] * self.e0 + out)
+        """x^e0 * prod Phi_d^(e_d) * remainder, by the Mobius series."""
+        return cyclotomic_product(self.factors, IntPoly((0,) * self.e0 + self.remainder.coeffs))
 
     @property
     def is_kronecker(self) -> bool:
@@ -229,8 +202,9 @@ def factor_kronecker(f: IntPoly) -> CycloFactorization:
     g = IntPoly(f.coeffs[e0:])
     factors: dict[int, int] = {}
     g2, g3 = g(2), g(3)
-    for d, phid in cyclotomic_candidates(g.degree):
-        while phid <= g.degree:
+    deg = g.degree
+    for d, phid in cyclotomic_candidates(deg):
+        while phid <= deg:
             # Phi_d | g over Z forces Phi_d(2) | g(2) and Phi_d(3) | g(3)
             v2, v3 = _screen_values(d)
             if g2 % v2 or g3 % v3:
@@ -239,6 +213,7 @@ def factor_kronecker(f: IntPoly) -> CycloFactorization:
             if q is None:
                 break
             g = q
+            deg -= phid
             g2 //= v2
             g3 //= v3
             factors[d] = factors.get(d, 0) + 1

@@ -3,7 +3,10 @@
 A polynomial is a tuple of int coefficients in ascending degree with no
 trailing zeros; the zero polynomial is the empty tuple.  So x^2 - x + 1 is
 IntPoly((1, -1, 1)).  Multiplication iterates the sparser operand on the
-outside, which matters for fewnomials like the semigroup polynomials.
+outside, which matters for fewnomials like the semigroup polynomials.  A
+product of cyclotomic polynomials, Phi_n and Psi_n included, is never
+multiplied out: cyclotomic_product runs it as one truncated power series
+times factors (1 - x^t)^(+-1).
 
 A value at a root of unity zeta_m for m in {1, 2, 3, 4, 6} is the pair of
 integers (a, b) with f(zeta_m) = a + b*zeta_m, reached by the trace recurrence
@@ -19,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
-from .errors import DomainError, InputError, PoleError
+from .errors import InputError, PoleError
 from .numtheory import divisors, factorize, mobius, prime_power_value
 
 
@@ -181,10 +184,6 @@ def multiplicity(f: IntPoly, g: IntPoly) -> int:
         e += 1
 
 
-def xn_minus_1(n: int) -> IntPoly:
-    return IntPoly((-1,) + (0,) * (n - 1) + (1,))
-
-
 def radical(n: int) -> int:
     out = 1
     for p, _ in factorize(n):
@@ -217,16 +216,48 @@ def cyclotomic(n: int) -> IntPoly:
     deg = prod(p - 1 for p in primes)
     half = deg // 2
     out = [1] + [0] * half
-    for d in divisors(n):
-        if d > half:
-            break
-        if mobius(n // d) == 1:
-            for i in range(half, d - 1, -1):
-                out[i] -= out[i - d]
-        else:
-            for i in range(d, half + 1):
-                out[i] += out[i - d]
+    _times_mobius_factors(out, {d: mobius(n // d) for d in divisors(n) if d <= half})
     return IntPoly(out + out[deg - half - 1 :: -1])
+
+
+def _times_mobius_factors(out: list[int], net: dict[int, int]) -> None:
+    # out *= prod_t (1 - x^t)^(net[t]) as power series truncated at len(out),
+    # in place: one pass per factor, descending to multiply by 1 - x^t and
+    # ascending to divide by it
+    top = len(out)
+    for t, n in net.items():
+        for _ in range(n):
+            for i in range(top - 1, t - 1, -1):
+                out[i] -= out[i - t]
+        for _ in range(-n):
+            for i in range(t, top):
+                out[i] += out[i - t]
+
+
+def cyclotomic_product(factors: dict[int, int], cofactor: IntPoly) -> IntPoly:
+    """cofactor * prod Phi_d^(e_d), with no polynomial product.
+
+    Phi_d = prod_{t | d} (1 - x^t)^mu(d/t) for d >= 2 and Phi_1 = -(1 - x),
+    so the factors multiply to (-1)^e_1 prod_t (1 - x^t)^n_t with the net
+    exponents n_t = sum_d e_d mu(d/t) (Arnold and Monagan, Math. Comp. 80,
+    2011).  Each factor (1 - x^t)^(+-1) is one pass over the cofactor's power
+    series, truncated at the degree deg cofactor + sum_t t n_t of the result;
+    the truncation is exact because the product has exactly that degree.
+    Work: O(deg) per pass, at most sum_d e_d 2^omega(d) passes.
+    """
+    if cofactor.is_zero():
+        return IntPoly()
+    net: dict[int, int] = {}
+    for d, e in factors.items():
+        if e < 0:
+            raise InputError(f"negative exponent {e} for Phi_{d}")
+        for t in divisors(d):
+            net[t] = net.get(t, 0) + mobius(d // t) * e
+    out = list(cofactor.coeffs) + [0] * sum(t * n for t, n in net.items())
+    _times_mobius_factors(out, net)
+    if factors.get(1, 0) % 2:
+        out = [-c for c in out]
+    return IntPoly(out)
 
 
 def cyclotomic_value(n: int, x: int) -> int:
@@ -251,16 +282,11 @@ def cyclotomic_value(n: int, x: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=1024)
 def inverse_cyclotomic(n: int) -> IntPoly:
     """Psi_n = (x^n - 1) / Phi_n, the product of Phi_d over proper divisors d."""
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")
-    if n == 1:
-        return IntPoly((1,))
-    q = poly_div_exact(xn_minus_1(n), cyclotomic(n))
-    assert q is not None
-    return q
+    return cyclotomic_product({d: 1 for d in divisors(n)[:-1]}, IntPoly((1,)))
 
 
 def coxeter_poly(n: int) -> IntPoly:
@@ -343,26 +369,6 @@ def is_self_reciprocal(f: IntPoly) -> bool:
     if f.is_zero():
         raise InputError("the zero polynomial has no reciprocal type")
     return f.coeffs == tuple(reversed(f.coeffs))
-
-
-def self_reciprocal_first_derivative(f: IntPoly, point: int) -> Fraction:
-    """f'(point) for self-reciprocal f of degree d at point +1 or -1.
-
-    At +1 this is f(1) d / 2; at -1 it is -f(-1) d / 2 and needs even degree
-    (an odd-degree palindrome vanishes at -1, so there is no formula there).
-    """
-    if point not in (1, -1):
-        raise InputError("point must be +1 or -1")
-    if not is_self_reciprocal(f):
-        raise InputError("polynomial is not self-reciprocal")
-    d = f.degree
-    if d < 1:
-        raise InputError("degree must be >= 1")
-    if point == 1:
-        return Fraction(f(1) * d, 2)
-    if d % 2 == 1:
-        raise DomainError("odd-degree self-reciprocal polynomial: f(-1) = 0, no derivative formula")
-    return Fraction(-f(-1) * d, 2)
 
 
 # t = zeta_m + 1/zeta_m = 2 cos(2 pi / m), so zeta_m^2 = t zeta_m - 1

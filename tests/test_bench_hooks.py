@@ -5,6 +5,7 @@ checks make it fail here instead."""
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,6 +49,19 @@ def test_gauge_hooks_resolve():
 
     assert callable(polyring.cyclotomic.cache_info)
     assert len(numtheory.totient_sieve(0)) >= 1
+
+
+def test_perfbench_harness_unittests_pass():
+    # the harness's own tests pin library bindings that no test here reads,
+    # such as semigroup.poly_div_exact; run them the way the harness documents
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def _workload_library_names():

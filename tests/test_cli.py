@@ -121,6 +121,8 @@ def test_logderiv(capsys):
     assert out == "1/1"
     code, out, _ = run(capsys, "logderiv", "invphi", "9", "--at", "-1", "--order", "1", "--check-oracle")
     assert code == 0
+    # Psi_p = Phi_1 for a prime p, so the oracle builds a polynomial of degree 1
+    assert run(capsys, "logderiv", "invphi", "2000003", "--at", "1/2", "--order", "2") == (0, "-4/1", "")
     code, out, _ = run(capsys, "logderiv", "poly", "--poly", "x^2 - x + 1", "--at", "1/2", "--order", "1")
     assert out == "0/1"
     # pole is an input-domain error
@@ -200,6 +202,51 @@ def test_tables(capsys):
     code, out, _ = run(capsys, "tables", "factorization", "--max", "6")
     assert "k=3: Phi_6 Phi_12" in out
     assert "k=5: f_5" in out
+
+
+def test_fk_sweep_refuses_before_building_a_row(capsys, monkeypatch):
+    from cyclokit import semigroup
+
+    fk_poly = semigroup.fk_poly
+
+    def no_row(k):
+        raise AssertionError(f"f_{k} built before the guardrail refused")
+
+    monkeypatch.setattr(semigroup, "FK_SWEEP_LIMIT", 6)
+    monkeypatch.setattr(semigroup, "fk_poly", no_row)
+    for argv in (["fk", "sweep", "--max", "7"], ["tables", "factorization", "--max", "7"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "FK_SWEEP_LIMIT" in err and "Traceback" not in err
+    # at the limit both commands print every row
+    monkeypatch.setattr(semigroup, "fk_poly", fk_poly)
+    for argv in (["fk", "sweep", "--max", "6"], ["tables", "factorization", "--max", "6"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 6, argv
+
+
+def test_logderiv_closed_form_builds_no_polynomial(capsys, monkeypatch):
+    from cyclokit import polyring
+
+    def no_poly(n):
+        raise AssertionError(f"polynomial of index {n} built")
+
+    monkeypatch.setattr(polyring, "cyclotomic", no_poly)
+    monkeypatch.setattr(polyring, "inverse_cyclotomic", no_poly)
+    p = 2000003  # prime, so deg Phi_p = p - 1 is above the guardrail
+    half = (p - 1) // 2
+    assert run(capsys, "logderiv", "phi", str(p), "--at", "1", "--order", "1") == (0, f"{half}/1", "")
+    assert run(capsys, "logderiv", "phi", str(p), "--at", "0", "--order", "1") == (0, "1/1", "")
+    assert run(capsys, "logderiv", "invphi", str(p), "--at", "-1", "--order", "1") == (0, "-1/2", "")
+    # the oracle path refuses such a degree before it builds anything
+    for argv in (
+        ["phi", str(p), "--at", "1/2", "--order", "1"],
+        ["phi", str(p), "--at", "1", "--order", "1", "--check-oracle"],
+        ["invphi", str(2 * 1000003), "--at", "1/2", "--order", "1"],
+    ):
+        code, out, err = run(capsys, "logderiv", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "DEGREE_GUARDRAIL" in err and "Traceback" not in err
 
 
 def test_json_envelope(capsys):

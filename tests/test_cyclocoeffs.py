@@ -4,8 +4,8 @@ import pytest
 
 from cyclokit import cyclocoeffs as cc
 from cyclokit import numtheory as nt
-from cyclokit.combinat import partitions
 from cyclokit.errors import InputError, ResourceError
+from test_combinat import partitions
 
 
 def test_coeff_direct():
@@ -118,8 +118,6 @@ def test_taylor_from_one_agreement_small():
 
 def test_lehmer_partition_form():
     # a_n(k) = sum over partitions of prod_j (1/lambda_j!)(-r_j(n)/j)^lambda_j
-    from cyclokit.combinat import partitions
-
     def lehmer(n, k):
         if k == 0:
             return 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclokit import cycloderiv as cd
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
 from cyclokit.errors import DomainError, InputError, PoleError
@@ -13,6 +14,10 @@ from cyclokit.polyring import IntPoly
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=8))
 huge_polys = st.builds(IntPoly, st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=41))
 root_orders = st.sampled_from([1, 2, 3, 4, 6])
+
+
+def xn_minus_1(n):
+    return IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
 def test_intpoly_basics():
@@ -38,7 +43,7 @@ def test_cyclotomic_product_identity():
         prod = IntPoly((1,))
         for d in nt.divisors(n):
             prod = prod * pr.cyclotomic(d)
-        assert prod == pr.xn_minus_1(n)
+        assert prod == xn_minus_1(n)
 
 
 def test_cyclotomic_degree_and_flat_coefficients():
@@ -55,9 +60,9 @@ def _cyclotomic_mobius(n):
     for d in nt.divisors(n):
         mu = nt.mobius(n // d)
         if mu == 1:
-            num = num * pr.xn_minus_1(d)
+            num = num * xn_minus_1(d)
         elif mu == -1:
-            den = den * pr.xn_minus_1(d)
+            den = den * xn_minus_1(d)
     return pr.poly_div_exact(num, den)
 
 
@@ -117,7 +122,10 @@ def test_inverse_cyclotomic():
     for n in range(2, 80):
         psi = pr.inverse_cyclotomic(n)
         assert psi(0) == -1
-        assert psi * pr.cyclotomic(n) == pr.xn_minus_1(n)
+        assert psi * pr.cyclotomic(n) == xn_minus_1(n)
+    # the division route the Mobius series replaced is the oracle
+    for n in range(1, 2001):
+        assert pr.inverse_cyclotomic(n) == pr.poly_div_exact(xn_minus_1(n), pr.cyclotomic(n)), n
 
 
 def test_coxeter_poly():
@@ -345,17 +353,32 @@ def test_is_self_reciprocal():
     assert not pr.is_self_reciprocal(IntPoly((2, 1, 1)))
 
 
+def self_reciprocal_first_derivative(f, point):
+    # f'(point) for a self-reciprocal f of degree d at +1 or -1: f(1) d / 2 at
+    # +1 and -f(-1) d / 2 at -1, where an odd-degree palindrome vanishes
+    if not pr.is_self_reciprocal(f) or f.degree < 1:
+        raise InputError("need a self-reciprocal polynomial of degree >= 1")
+    if point == -1 and f.degree % 2:
+        raise DomainError("odd-degree self-reciprocal polynomial: f(-1) = 0")
+    return Fraction(point * f(point) * f.degree, 2)
+
+
 def test_self_reciprocal_first_derivative():
-    assert pr.self_reciprocal_first_derivative(pr.cyclotomic(6), 1) == 1
-    assert pr.self_reciprocal_first_derivative(pr.cyclotomic(4), -1) == -2
+    assert self_reciprocal_first_derivative(pr.cyclotomic(6), 1) == 1
+    assert self_reciprocal_first_derivative(pr.cyclotomic(4), -1) == -2
     for n in (3, 4, 6, 8, 12, 30):
         f = pr.cyclotomic(n)
-        assert pr.self_reciprocal_first_derivative(f, 1) == f.derivative()(1)
-        assert pr.self_reciprocal_first_derivative(f, -1) == f.derivative()(-1)
+        assert self_reciprocal_first_derivative(f, 1) == f.derivative()(1)
+        assert self_reciprocal_first_derivative(f, -1) == f.derivative()(-1)
     odd_pal = IntPoly((1, 2, 2, 1))
     assert odd_pal(-1) == 0
     with pytest.raises(DomainError):
-        pr.self_reciprocal_first_derivative(odd_pal, -1)
+        self_reciprocal_first_derivative(odd_pal, -1)
+    # and an oracle for the closed-form first derivatives of Phi_n at +-1
+    for n in range(3, 200):
+        f = pr.cyclotomic(n)
+        assert cd.phi_derivs_at_one(n, 1)[1] == self_reciprocal_first_derivative(f, 1), n
+        assert cd.phi_derivs_at_minus_one(n, 1)[1] == self_reciprocal_first_derivative(f, -1), n
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,7 +446,7 @@ def test_cyclotomic_value_matches_polynomial():
 
 
 def test_poly_div_exact():
-    assert pr.poly_div_exact(pr.xn_minus_1(6), pr.cyclotomic(6)) == pr.inverse_cyclotomic(6)
+    assert pr.poly_div_exact(xn_minus_1(6), pr.cyclotomic(6)) == pr.inverse_cyclotomic(6)
     assert pr.poly_div_exact(IntPoly((1, 0, 1)), IntPoly((1, 1))) is None
     # a dividend of lower degree than the divisor divides only when it is zero
     assert pr.poly_div_exact(IntPoly(), pr.cyclotomic(6)) == IntPoly()

@@ -208,6 +208,24 @@ def test_fk_gcd_pattern():
         sg.fk_gcd_pattern(k)  # classification asserted internally
 
 
+def _fk_multiplicities_by_trial_division(k):
+    # the route fk_gcd_pattern and fk_remainder took before they read the
+    # factorization: repeated division of f_k by Phi_6, Phi_10 and Phi_12
+    f = sg.fk_poly(k)
+    return {d: pr.multiplicity(f, pr.cyclotomic(d)) for d in (6, 10, 12)}
+
+
+def test_fk_gcd_pattern_and_remainder_match_trial_division():
+    for k in range(1, 201):
+        mult = _fk_multiplicities_by_trial_division(k)
+        assert sg.fk_gcd_pattern(k) == tuple(d for d, e in mult.items() if e), k
+        rem = sg.fk_poly(k)
+        for d, e in mult.items():
+            for _ in range(e):
+                rem = pr.poly_div_exact(rem, pr.cyclotomic(d))
+        assert sg.fk_remainder(k) == rem, k
+
+
 def test_fk_single_root_lemma():
     # Phi_6 | f_k iff k = 1,3 (mod 6); Phi_10 iff k = 2,4 (mod 10);
     # Phi_12 iff k = 3,4 (mod 12)
@@ -328,3 +346,24 @@ def test_fk_theorem_sweep_table():
         rem_deg = len(fac["remainder"]) - 1
         assert (rem_deg > 0) == want_remainder
         assert row["verdict"] == ("kronecker" if k <= 4 else "non_kronecker")
+
+
+def test_fk_theorem_sweep_factors_each_fk_once(monkeypatch):
+    from cyclokit import kronecker as kr
+
+    factor = kr.factor_kronecker
+    factored = []
+
+    def counting_factor(f):
+        factored.append(f)
+        return factor(f)
+
+    def no_multiplicity(*args):
+        raise AssertionError("fk_theorem_sweep called multiplicity")
+
+    monkeypatch.setattr(kr, "factor_kronecker", counting_factor)
+    monkeypatch.setattr(sg, "factor_kronecker", counting_factor)
+    monkeypatch.setattr(pr, "multiplicity", no_multiplicity)
+    rows = sg.fk_theorem_sweep(40)
+    assert factored == [sg.fk_poly(k) for k in range(1, 41)]
+    assert [row["gcd_pattern"] for row in rows] == [list(sg._fk_expected_pattern(k)) for k in range(1, 41)]
