@@ -7,20 +7,19 @@ exact rational is rendered as a "num/den" string.
 Exit codes: 0 success or affirmative answer, 1 certified negative (for
 example a non-Kronecker verdict), 2 input error, 3 internal invariant
 violation.
+
+Each handler imports the library modules it uses, so that one command
+loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 
-from . import combinat, cyclocoeffs, cycloderiv, kronecker, numtheory, polyring, semigroup
-from .errors import CyclokitError, InputError, InvariantError, ResourceError
-from .kronecker import _rat_str as _rat
-from .polyring import IntPoly
+from .errors import CyclokitError, InputError, InvariantError, ResourceError, rat_str as _rat
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -38,7 +37,9 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _read_poly(args) -> IntPoly:
+def _read_poly(args):
+    from . import polyring
+
     if getattr(args, "poly", None):
         return polyring.parse_poly(args.poly)
     if getattr(args, "file", None):
@@ -55,6 +56,8 @@ def _read_poly(args) -> IntPoly:
 # subcommand handlers: each returns (exit_code, json_payload, text_lines)
 
 def _cmd_phi(args):
+    from . import numtheory, polyring
+
     phi_n = numtheory.euler_phi(args.n)
     if phi_n > polyring.DEGREE_GUARDRAIL and not args.force:
         raise ResourceError(
@@ -72,6 +75,8 @@ def _cmd_phi(args):
 
 
 def _cmd_coeff(args):
+    from . import cyclocoeffs
+
     n, k, method = args.n, args.k, args.method
     routes = {
         "direct": cyclocoeffs.coeff_direct,
@@ -90,21 +95,29 @@ def _cmd_coeff(args):
 
 
 def _cmd_ramanujan(args):
+    from . import numtheory
+
     v = numtheory.ramanujan_sum(args.k, args.n)
     return EXIT_OK, {"k": args.k, "n": args.n, "value": v}, [str(v)]
 
 
 def _cmd_jordan(args):
+    from . import numtheory
+
     v = numtheory.jordan_totient(args.k, args.n)
     return EXIT_OK, {"k": args.k, "n": args.n, "value": v}, [str(v)]
 
 
 def _cmd_bernoulli(args):
+    from . import combinat
+
     v = combinat.bernoulli_minus(args.k) if args.minus else combinat.bernoulli_plus(args.k)
     return EXIT_OK, {"k": args.k, "minus": args.minus, "value": _rat(v)}, [_rat(v)]
 
 
 def _cmd_stirling(args):
+    from . import combinat
+
     if args.kind == "1":
         v = combinat.stirling_first(args.k, args.j)
     else:
@@ -113,6 +126,8 @@ def _cmd_stirling(args):
 
 
 def _cmd_bellpoly(args):
+    from . import combinat
+
     xs = _parse_rational_list(args.xs)
     if args.variant == "partial":
         if args.j is None:
@@ -125,6 +140,8 @@ def _cmd_bellpoly(args):
 
 
 def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
+    from . import cycloderiv
+
     if family == "phi":
         if at == 0:
             return cycloderiv.log_deriv_phi_at_zero(n, k)
@@ -140,9 +157,11 @@ def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
     return None
 
 
-def _family_poly(family: str, n: int) -> IntPoly:
+def _family_poly(family: str, n: int):
     # Phi_n or Psi_n = (x^n - 1) / Phi_n, refused before it is built when its
     # degree is above the guardrail
+    from . import numtheory, polyring
+
     phi_n = numtheory.euler_phi(n)
     degree = phi_n if family == "phi" else n - phi_n
     if degree > polyring.DEGREE_GUARDRAIL:
@@ -153,6 +172,8 @@ def _family_poly(family: str, n: int) -> IntPoly:
 
 
 def _cmd_logderiv(args):
+    from . import polyring
+
     at = _parse_rational(args.at)
     k = args.order
     closed = None
@@ -181,19 +202,23 @@ def _cmd_logderiv(args):
 
 
 def _cmd_schwarzian(args):
+    from . import cycloderiv
+
     v = cycloderiv.schwarzian_phi_at_one(args.n)
     return EXIT_OK, {"n": args.n, "value": _rat(v)}, [_rat(v)]
 
 
-def _describe_factorization(fac: kronecker.CycloFactorization) -> str:
+def _describe_factorization(fac) -> str:
+    from . import polyring
+
     parts = [f"x^{fac.e0}"] if fac.e0 else []
     parts += [f"Phi_{d}" + (f"^{e}" if e > 1 else "") for d, e in sorted(fac.factors.items())]
-    if fac.remainder != IntPoly((1,)):
+    if not fac.is_kronecker:
         parts.append(f"({polyring.format_poly(fac.remainder)})")
     return " * ".join(parts) if parts else "1"
 
 
-def _describe_certificate(cert: kronecker.Certificate) -> list[str]:
+def _describe_certificate(cert) -> list[str]:
     lines = [f"verdict: {cert.verdict}"]
     if cert.reason:
         lines.append(f"reason: {cert.reason}" + (f" (k={cert.k})" if cert.k else ""))
@@ -205,6 +230,8 @@ def _describe_certificate(cert: kronecker.Certificate) -> list[str]:
 
 
 def _cmd_kronecker(args):
+    from . import kronecker
+
     f = _read_poly(args)
     if args.action == "factor":
         fac = kronecker.factor_kronecker(f)
@@ -221,7 +248,21 @@ def _parse_gens(text: str) -> list[int]:
         raise InputError(f"bad generator list {text!r}") from None
 
 
+def _check_certify_degree(degree: int, args) -> None:
+    # the certify-backed commands refuse before the polynomial is built
+    from . import kronecker
+
+    limit = kronecker.CERTIFY_DEGREE_LIMIT
+    if degree > limit and not args.force:
+        raise ResourceError(
+            f"degree {degree} exceeds the guardrail CERTIFY_DEGREE_LIMIT = {limit}; "
+            "pass --force to proceed"
+        )
+
+
 def _cmd_semigroup(args):
+    from . import polyring, semigroup
+
     S = semigroup.from_generators(_parse_gens(args.gens))
     if args.action == "info":
         info = S.to_json_obj()
@@ -237,6 +278,8 @@ def _cmd_semigroup(args):
     if args.action == "polynomial":
         P = semigroup.semigroup_polynomial(S)
         return EXIT_OK, {"coeffs": list(P.coeffs)}, [polyring.format_poly(P)]
+    # P_S has degree F + 1
+    _check_certify_degree(S.frobenius + 1, args)
     cert = semigroup.is_cyclotomic(S)
     code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
     lines = ["cyclotomic" if cert.is_kronecker else "not cyclotomic"]
@@ -245,6 +288,10 @@ def _cmd_semigroup(args):
 
 
 def _cmd_fk(args):
+    from . import kronecker, semigroup
+
+    if args.action in ("gcd", "certify"):
+        _check_certify_degree(2 * args.k, args)
     if args.action == "gcd":
         pattern = semigroup.fk_gcd_pattern(args.k)
         text = " * ".join(f"Phi_{d}" for d in pattern) if pattern else "1"
@@ -253,12 +300,18 @@ def _cmd_fk(args):
         cert = kronecker.certify(semigroup.fk_poly(args.k))
         code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
         return code, cert.to_json_obj(), _describe_certificate(cert)
+    import json
+
     rows = semigroup.fk_theorem_sweep(args.max)
     lines = [json.dumps(row) for row in rows]
     return EXIT_OK, {"rows": rows}, lines
 
 
 def _cmd_frobenius_family(args):
+    from . import semigroup
+
+    # the semigroup polynomial certified at the end has degree F + 1
+    _check_certify_degree(args.f + 1, args)
     S = semigroup.noncyclotomic_symmetric_with_frobenius(args.f)
     gens = ",".join(str(g) for g in S.minimal_generators)
     payload = S.to_json_obj()
@@ -268,6 +321,8 @@ def _cmd_frobenius_family(args):
 
 def _cmd_tables(args):
     if args.which == "c":
+        from . import combinat, cycloderiv
+
         # row k needs the Stirling row k, so refuse before building row 1
         combinat.check_table_index(args.max)
         rows = []
@@ -277,6 +332,8 @@ def _cmd_tables(args):
             rows.append({"k": k, "c": [_rat(c) for c in entries]})
             lines.append(f"k={k}: " + ", ".join(_rat(c) for c in entries))
         return EXIT_OK, {"rows": rows}, lines
+    from . import semigroup
+
     rows = semigroup.fk_theorem_sweep(args.max)
     lines = []
     for row in rows:
@@ -374,12 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semigroup", help="numerical semigroup queries")
     p.add_argument("action", choices=["info", "symmetric", "cyclotomic", "polynomial"])
     p.add_argument("--gens", required=True, help="comma-separated generators")
+    p.add_argument("--force", action="store_true", help="ignore the degree guardrail of cyclotomic")
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("fk", help="the gap family f_k = 1 - x + x^k - x^(2k-1) + x^(2k)")
     p.add_argument("action", choices=["gcd", "certify", "sweep"])
     p.add_argument("k", type=int, nargs="?", default=None)
     p.add_argument("--max", type=int, default=18, help="sweep upper bound")
+    p.add_argument("--force", action="store_true", help="ignore the degree guardrail of gcd and certify")
     p.set_defaults(handler=_cmd_fk)
 
     p = sub.add_parser(
@@ -387,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="symmetric non-cyclotomic semigroup with the given odd Frobenius number",
     )
     p.add_argument("f", type=int)
+    p.add_argument("--force", action="store_true", help="ignore the degree guardrail")
     p.set_defaults(handler=_cmd_frobenius_family)
 
     p = sub.add_parser("tables", help="reproduce the coefficient or factorization tables")
@@ -414,6 +474,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
+        import json
+
         envelope = {"command": args.command, "result": payload}
         print(json.dumps(envelope, indent=2, sort_keys=True))
     else:

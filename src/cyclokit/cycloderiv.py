@@ -14,7 +14,7 @@ No floating point appears anywhere: all values are Fraction or int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -26,8 +26,7 @@ from .numtheory import dedekind_psi, euler_phi, jordan_totient, n_alpha, ramanuj
 from .polyring import IntPoly, cyclotomic, phi_value_at_one
 
 
-@dataclass(frozen=True)
-class CTable:
+class CTable(namedtuple("CTable", "k nums den")):
     """Row k of the sigma-polynomial coefficient table.
 
     c_{k,j} = nums[j] / den, where c_{k,j} = B_j^+ s(k,j) / j for j >= 1 and
@@ -36,9 +35,7 @@ class CTable:
     sum over the row is one integer dot product and one division.
     """
 
-    k: int
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
     @property
     def entries(self) -> tuple[Fraction, ...]:

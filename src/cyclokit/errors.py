@@ -1,8 +1,17 @@
-"""Exception hierarchy shared by all cyclokit modules.
+"""Exception hierarchy shared by all cyclokit modules, and the "num/den" text
+form of an exact rational that certificates and the CLI print.
 
 The CLI maps these onto exit codes: input/domain problems exit 2,
 internal invariant violations exit 3.
 """
+
+from fractions import Fraction
+
+
+def rat_str(x) -> str:
+    """x as "num/den" in lowest terms, also for an integer x."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 class CyclokitError(Exception):

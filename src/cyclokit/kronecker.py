@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import lcm
 
 from .combinat import bernoulli_plus, stirling_second
-from .errors import InputError, InvariantError, PoleError
+from .errors import InputError, InvariantError, PoleError, rat_str
 from .numtheory import (
     euler_phi,
     is_prime_power,
@@ -70,6 +70,11 @@ REASON_NEGATIVE_AT_POINT = "negative_at_point"
 REASON_ODD_IDENTITY = "odd_identity_violation"
 REASON_EVEN_BOUND = "even_bound_violation"
 REASON_REMAINDER = "nontrivial_remainder"
+
+# largest degree the CLI certifies or factors without --force (fk gcd|certify,
+# semigroup cyclotomic, frobenius-family); at this limit the slowest of them,
+# frobenius-family 5499, takes about 9 s from a cold start (Python 3.11, 2 vCPU)
+CERTIFY_DEGREE_LIMIT = 5500
 
 
 @dataclass
@@ -118,7 +123,7 @@ class Certificate:
             "verdict": self.verdict,
             "reason": self.reason,
             "k": self.k,
-            "witnesses": [_rat_str(w) for w in self.witnesses],
+            "witnesses": [rat_str(w) for w in self.witnesses],
             "details": _jsonify(self.details),
         }
         if self.factorization is not None:
@@ -126,14 +131,9 @@ class Certificate:
         return out
 
 
-def _rat_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _jsonify(obj):
     if isinstance(obj, Fraction):
-        return _rat_str(obj)
+        return rat_str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

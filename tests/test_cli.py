@@ -225,6 +225,36 @@ def test_fk_sweep_refuses_before_building_a_row(capsys, monkeypatch):
         assert code == 0 and len(out.splitlines()) == 6, argv
 
 
+def test_certify_commands_refuse_above_the_degree_guardrail(capsys, monkeypatch):
+    from cyclokit import kronecker, semigroup
+
+    # with the limit at 20: f_10 and P_S of F = 19 have degree 20, one step up
+    # is f_11 and F = 21
+    at_limit = (["fk", "gcd", "10"], ["fk", "certify", "10"], ["frobenius-family", "19"],
+                ["semigroup", "cyclotomic", "--gens", "3,11"])
+    above = (["fk", "gcd", "11"], ["fk", "certify", "11"], ["frobenius-family", "21"],
+             ["semigroup", "cyclotomic", "--gens", "2,23"])
+    want = {tuple(argv): run(capsys, *argv) for argv in at_limit + above}
+    monkeypatch.setattr(kronecker, "CERTIFY_DEGREE_LIMIT", 20)
+    for argv in at_limit:
+        assert run(capsys, *argv) == want[tuple(argv)], argv
+    builders = {name: getattr(semigroup, name) for name in ("fk_poly", "semigroup_polynomial", "s_k")}
+
+    def no_poly(arg):
+        raise AssertionError(f"built from {arg} before the guardrail refused")
+
+    for name in builders:
+        monkeypatch.setattr(semigroup, name, no_poly)
+    for argv in above:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "CERTIFY_DEGREE_LIMIT" in err and "--force" in err and "Traceback" not in err
+    for name, builder in builders.items():
+        monkeypatch.setattr(semigroup, name, builder)
+    for argv in above:
+        assert run(capsys, *argv, "--force") == want[tuple(argv)], argv
+
+
 def test_logderiv_closed_form_builds_no_polynomial(capsys, monkeypatch):
     from cyclokit import polyring
 
@@ -280,11 +310,9 @@ def test_usage_error_exit_code(capsys):
 def test_check_oracle_mismatch_exits_3(capsys, monkeypatch):
     from fractions import Fraction
 
-    from cyclokit import cli as cli_mod
+    from cyclokit import cycloderiv
 
-    monkeypatch.setattr(
-        cli_mod.cycloderiv, "log_deriv_phi_at_one", lambda n, k: Fraction(999)
-    )
+    monkeypatch.setattr(cycloderiv, "log_deriv_phi_at_one", lambda n, k: Fraction(999))
     code, _, err = run(capsys, "logderiv", "phi", "6", "--at", "1", "--order", "2", "--check-oracle")
     assert code == 3
     assert "disagrees with oracle" in err
