@@ -172,8 +172,11 @@ def _family_poly(family: str, n: int):
 
 
 def _cmd_logderiv(args):
-    from . import polyring
+    from . import combinat, polyring
 
+    # every route reads Stirling rows or grows values to about k! at order k,
+    # so all of them refuse the orders the Stirling tables refuse
+    combinat.check_table_index(args.order)
     at = _parse_rational(args.at)
     k = args.order
     closed = None
@@ -233,6 +236,7 @@ def _cmd_kronecker(args):
     from . import kronecker
 
     f = _read_poly(args)
+    _check_certify_degree(f.degree, args)
     if args.action == "factor":
         fac = kronecker.factor_kronecker(f)
         return EXIT_OK, fac.to_json_obj(), [_describe_factorization(fac)]
@@ -249,14 +253,16 @@ def _parse_gens(text: str) -> list[int]:
 
 
 def _check_certify_degree(degree: int, args) -> None:
-    # the certify-backed commands refuse before the polynomial is built
+    # the certify-backed commands refuse before the polynomial is built or
+    # factored; those that build it themselves take --force
     from . import kronecker
 
     limit = kronecker.CERTIFY_DEGREE_LIMIT
-    if degree > limit and not args.force:
+    forcible = hasattr(args, "force")
+    if degree > limit and not (forcible and args.force):
         raise ResourceError(
-            f"degree {degree} exceeds the guardrail CERTIFY_DEGREE_LIMIT = {limit}; "
-            "pass --force to proceed"
+            f"degree {degree} exceeds the guardrail CERTIFY_DEGREE_LIMIT = {limit}"
+            + ("; pass --force to proceed" if forcible else "")
         )
 
 

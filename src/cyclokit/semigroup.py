@@ -5,12 +5,14 @@ its multiplicity m, w_r being its least element = r (mod m) (Kunz 1987;
 Rosales, Garcia-Sanchez, Garcia-Garcia & Branco, J. London Math. Soc. 65,
 2002).  From generators it is a Dijkstra relaxation over the residues (all
 edge weights are generators, hence positive); from a gap set it is the
-largest gap in each class plus m.  One builder reads off the rest: F =
-max w - m, x is a gap iff x < w_(x mod m), and the minimal generators are m
-and every w_r with w_r < w_s + w_(r-s) for all s other than 0 and r.  A gap
-set is the complement of a semigroup iff each residue class of its
-complement is closed under adding m and w_r + w_s >= w_(r+s) for all r, s,
-which costs O(F + m^2) against O(F^2) for the pairwise test.
+largest gap in each class plus m, once each residue class of the complement
+is closed under adding m.  One builder reads off the rest: F = max w - m,
+and x is a gap iff x < w_(x mod m).  Its one sweep over the pairs r <= s of
+nonzero residues reads the Kunz inequalities w_r + w_s >= w_(r+s): one that
+fails means the gap set is not the complement of a semigroup, and one that
+holds with equality makes w_(r+s) no minimal generator.  The minimal
+generators are m and every w_r that is not such a sum.  That is O(F + m^2)
+in all, against O(F^2) for the pairwise test on the gaps.
 
 The family S_k = {0, k, k+1, ...} minus {2k-1} has semigroup polynomial
 f_k = 1 - x + x^k - x^(2k-1) + x^(2k); the certification pipeline shows S_k
@@ -33,6 +35,7 @@ from .kronecker import (
     factor_kronecker,
     poly_div_exact,
 )
+from . import polyring
 from .polyring import IntPoly, cyclotomic_product, log_derivative_values
 
 
@@ -66,6 +69,13 @@ class NumericalSemigroup:
         }
 
 
+def _check_degree(what: str, degree: int) -> None:
+    # P_S has degree F + 1; refused above the CLI's polynomial guardrail
+    limit = polyring.DEGREE_GUARDRAIL
+    if degree > limit:
+        raise ResourceError(f"{what} {degree} exceeds the guardrail DEGREE_GUARDRAIL = {limit}")
+
+
 def _apery_least_elements(gens: list[int]) -> list[int]:
     # least element of the semigroup in each residue class mod the smallest
     # generator, by Dijkstra over residues
@@ -89,12 +99,20 @@ def _apery_least_elements(gens: list[int]) -> list[int]:
 def _from_apery(apery: list[int]) -> NumericalSemigroup:
     m = len(apery)
     frobenius = max(apery) - m
-    # apery[r - s] with r - s < 0 indexes the residue r - s + m
-    minimal = [m] + [
-        w
-        for r, w in enumerate(apery)
-        if r and all(w < apery[s] + apery[r - s] for s in range(1, m) if s != r)
-    ]
+    _check_degree("degree F + 1 =", frobenius + 1)
+    # one sweep over the residue pairs r <= s reads both Kunz conditions at
+    # t = r + s (mod m), wrapped[r + s] = w_t: w_r + w_s < w_t is a gap in the
+    # complement's sums, and w_r + w_s = w_t makes w_t no minimal generator
+    wrapped = apery + apery
+    decomposable = set()
+    for r in range(1, m):
+        wr = apery[r]
+        for ws, wt in zip(apery[r:], wrapped[2 * r:r + m]):
+            if wr + ws <= wt:
+                if wr + ws < wt:
+                    raise InputError(f"complement not closed: {wr} + {ws} hits gap {wr + ws}")
+                decomposable.add(wt)
+    minimal = [m] + [w for w in apery[1:] if w not in decomposable]
     gaps = tuple(x for x in range(1, frobenius + 1) if x < apery[x % m])
     return NumericalSemigroup(
         minimal_generators=tuple(sorted(minimal)),
@@ -115,12 +133,16 @@ def from_generators(gens) -> NumericalSemigroup:
         g = gcd(g, x)
     if g != 1:
         raise InputError(f"gcd of generators is {g}, not 1 (complement would be infinite)")
-    return _from_apery(_apery_least_elements(sorted(set(gens))))
+    gens = sorted(set(gens))
+    # F + 1 >= m when m > 1, so a multiplicity above the limit is refused
+    # before the m-entry Dijkstra table is allocated
+    _check_degree("least generator", gens[0])
+    return _from_apery(_apery_least_elements(gens))
 
 
 def from_gaps(gaps) -> NumericalSemigroup:
     """The numerical semigroup with the given gap set; validates closure."""
-    gap_set = set(int(g) for g in gaps)
+    gap_set = set(map(int, gaps))
     if any(g < 1 for g in gap_set):
         raise InputError("gaps must be positive integers")
     m = 1
@@ -133,11 +155,6 @@ def from_gaps(gaps) -> NumericalSemigroup:
         if z > m and z - m not in gap_set:
             raise InputError(f"complement not closed: {m} + {z - m} hits gap {z}")
         apery[z % m] = z + m
-    for r in range(1, m):
-        for s in range(r, m):
-            if apery[r] + apery[s] < apery[(r + s) % m]:
-                x, y = apery[r], apery[s]
-                raise InputError(f"complement not closed: {x} + {y} hits gap {x + y}")
     return _from_apery(apery)
 
 
@@ -150,13 +167,10 @@ def is_symmetric(S: NumericalSemigroup) -> bool:
 
 def semigroup_polynomial(S: NumericalSemigroup) -> IntPoly:
     """P_S = 1 + (x - 1) sum over gaps g of x^g; monic of degree F + 1."""
-    acc = {0: 1}
+    out = [1] + [0] * (S.frobenius + 1)
     for g in S.gaps:
-        acc[g + 1] = acc.get(g + 1, 0) + 1
-        acc[g] = acc.get(g, 0) - 1
-    out = [0] * (max(acc) + 1)
-    for i, c in acc.items():
-        out[i] = c
+        out[g] -= 1
+        out[g + 1] += 1
     return IntPoly(out)
 
 

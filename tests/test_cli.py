@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,6 +254,71 @@ def test_certify_commands_refuse_above_the_degree_guardrail(capsys, monkeypatch)
         monkeypatch.setattr(semigroup, name, builder)
     for argv in above:
         assert run(capsys, *argv, "--force") == want[tuple(argv)], argv
+
+
+def test_kronecker_poly_refused_above_the_certify_degree_limit(tmp_path, capsys, monkeypatch):
+    from cyclokit import kronecker
+
+    source = tmp_path / "f.txt"
+    source.write_text("x^21 + x + 1")
+    at_limit = (["--poly", "x^20 + x + 1"], ["--poly", "1,-1,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,-1,1"])
+    above = (["--poly", "x^21 + x + 1"], ["--file", str(source)])
+    want = {(action, *argv): run(capsys, "kronecker", action, *argv)
+            for action in ("factor", "certify") for argv in at_limit}
+    monkeypatch.setattr(kronecker, "CERTIFY_DEGREE_LIMIT", 20)
+    for key, expected in want.items():
+        assert run(capsys, "kronecker", *key) == expected, key
+
+    def no_factoring(f):
+        raise AssertionError(f"factored degree {f.degree} before the guardrail refused")
+
+    monkeypatch.setattr(kronecker, "factor_kronecker", no_factoring)
+    for action in ("factor", "certify"):
+        for argv in above:
+            code, out, err = run(capsys, "kronecker", action, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: degree 21 exceeds the guardrail CERTIFY_DEGREE_LIMIT = 20", argv
+
+
+def test_semigroup_actions_refuse_above_the_degree_guardrail(capsys, monkeypatch):
+    from cyclokit import polyring, semigroup
+
+    # with the guardrail at 20: <3, 11> has F + 1 = 20 and <20, ..., 39> has
+    # multiplicity 20; <2, 23> has F + 1 = 22 and <21, ..., 41> multiplicity 21
+    at_limit = ("3,11", ",".join(map(str, range(20, 40))))
+    wide, deep = "2,23", ",".join(map(str, range(21, 42)))
+    actions = ("info", "symmetric", "polynomial", "cyclotomic")
+    want = {(action, gens): run(capsys, "semigroup", action, "--gens", gens)
+            for action in actions for gens in at_limit}
+    monkeypatch.setattr(polyring, "DEGREE_GUARDRAIL", 20)
+    for (action, gens), expected in want.items():
+        assert run(capsys, "semigroup", action, "--gens", gens) == expected, (action, gens)
+    for action in actions:
+        code, out, err = run(capsys, "semigroup", action, "--gens", wide)
+        assert (code, out) == (2, "")
+        assert err == "error: degree F + 1 = 22 exceeds the guardrail DEGREE_GUARDRAIL = 20"
+
+    def no_table(gens):
+        raise AssertionError(f"Dijkstra table of {gens[0]} entries allocated")
+
+    monkeypatch.setattr(semigroup, "_apery_least_elements", no_table)
+    for action in actions:
+        code, out, err = run(capsys, "semigroup", action, "--gens", deep)
+        assert (code, out) == (2, "")
+        assert err == "error: least generator 21 exceeds the guardrail DEGREE_GUARDRAIL = 20"
+
+
+def test_logderiv_refuses_orders_above_the_table_index_limit(capsys):
+    # at order 2000 the first three printed a ValueError traceback from the
+    # int-to-str limit and exited 1; all four refuse above TABLE_INDEX_LIMIT
+    forms = (["poly", "--poly", "x^2+1", "--at", "1"], ["phi", "7", "--at", "0"],
+             ["invphi", "7", "--at", "0"], ["phi", "7", "--at", "1"])
+    for argv in forms:
+        code, out, err = run(capsys, "logderiv", *argv, "--order", "400")
+        assert code == 0 and re.fullmatch(r"-?\d+/\d+", out) and err == "", argv
+        code, out, err = run(capsys, "logderiv", *argv, "--order", "401")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: index 401 exceeds the guardrail TABLE_INDEX_LIMIT = 400", argv
 
 
 def test_logderiv_closed_form_builds_no_polynomial(capsys, monkeypatch):

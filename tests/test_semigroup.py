@@ -7,7 +7,7 @@ import pytest
 
 from cyclokit import polyring as pr
 from cyclokit import semigroup as sg
-from cyclokit.errors import ConstructionError, InputError
+from cyclokit.errors import ConstructionError, InputError, ResourceError
 from cyclokit.polyring import IntPoly
 
 
@@ -156,6 +156,98 @@ def test_minimal_generators_match_subset_sums():
         assert sg.from_gaps(S.gaps) == S
 
 
+def _from_apery_by_two_loops(apery):
+    # the Kunz reading before the one sweep: the closure loop from_gaps ran
+    # over the residue pairs r <= s, then a separate minimal-generator test,
+    # w_r minimal iff w_r < w_s + w_(r-s) for every s other than 0 and r
+    m = len(apery)
+    for r in range(1, m):
+        for s in range(r, m):
+            if apery[r] + apery[s] < apery[(r + s) % m]:
+                x, y = apery[r], apery[s]
+                raise InputError(f"complement not closed: {x} + {y} hits gap {x + y}")
+    minimal = [m] + [
+        w
+        for r, w in enumerate(apery)
+        if r and all(w < apery[s] + apery[r - s] for s in range(1, m) if s != r)
+    ]
+    # the gaps = r (mod m) are r, r + m, ..., w_r - m
+    gaps = tuple(sorted(x for r, w in enumerate(apery) for x in range(r, w, m)))
+    return sg.NumericalSemigroup(
+        minimal_generators=tuple(sorted(minimal)),
+        gaps=gaps,
+        frobenius=max(apery) - m,
+        genus=len(gaps),
+        multiplicity=m,
+    )
+
+
+def _outcome(build, arg):
+    try:
+        return build(arg)
+    except InputError as exc:
+        return str(exc)
+
+
+def _two_loops_and_sweep(monkeypatch, build, args):
+    """build(arg) for each arg with the two Kunz loops, then with the sweep;
+    a semigroup or the InputError message."""
+    with monkeypatch.context() as patched:
+        patched.setattr(sg, "_from_apery", _from_apery_by_two_loops)
+        old = [_outcome(build, arg) for arg in args]
+    return old, [_outcome(build, arg) for arg in args]
+
+
+@lru_cache(maxsize=None)
+def _kunz_gap_sets():
+    # gap sets closed under adding m with random Kunz coordinates: the gaps
+    # = r (mod m) are r, r + m, ..., r + (c_r - 1) m; many of them break
+    # some w_r + w_s >= w_(r+s), so the sweep decides them
+    rng = random.Random(1103)
+    out = []
+    for _ in range(4000):
+        m = rng.randint(1, 16)
+        top = rng.randint(1, 4)
+        out.append(frozenset(r + i * m for r in range(1, m) for i in range(rng.randint(1, top))))
+    return tuple(out)
+
+
+def test_one_sweep_matches_the_two_kunz_loops_on_gap_sets(monkeypatch):
+    gap_sets = _random_gap_sets()[:4000] + _kunz_gap_sets()
+    old, new = _two_loops_and_sweep(monkeypatch, sg.from_gaps, gap_sets)
+    assert new == old
+    accepted = sum(isinstance(S, sg.NumericalSemigroup) for S in new[4000:])
+    swept_out = sum(isinstance(S, str) for S in new[4000:])
+    assert accepted > 200 and swept_out > 1000, (accepted, swept_out)
+
+
+def test_one_sweep_matches_the_two_kunz_loops_on_generators(monkeypatch):
+    old, new = _two_loops_and_sweep(monkeypatch, sg.from_generators, _random_generator_sets())
+    assert new == old
+    assert all(isinstance(S, sg.NumericalSemigroup) for S in new)
+
+
+def test_one_sweep_matches_the_two_kunz_loops_on_the_constructions(monkeypatch):
+    frobenius = range(9, 402, 2)
+    old, new = _two_loops_and_sweep(monkeypatch, sg.noncyclotomic_symmetric_with_frobenius, frobenius)
+    assert new == old
+    old, new = _two_loops_and_sweep(monkeypatch, sg.s_k, range(1, 300))
+    assert new == old
+
+
+def test_from_gaps_degree_guardrail_speaks_before_the_sweep(monkeypatch):
+    # from_generators at and above the guardrail is tested through the CLI
+    monkeypatch.setattr(pr, "DEGREE_GUARDRAIL", 9)
+    S = sg.from_generators([3, 7, 11])
+    assert S.frobenius == 8 and sg.from_gaps(S.gaps) == S
+    # F + 1 = 9 is refused before the sweep finds 4 + 4 hitting the gap 8
+    with pytest.raises(InputError, match=r"^complement not closed: 4 \+ 4 hits gap 8$"):
+        sg.from_gaps([1, 2, 5, 8])
+    monkeypatch.setattr(pr, "DEGREE_GUARDRAIL", 8)
+    with pytest.raises(ResourceError, match=r"^degree F \+ 1 = 9 exceeds the guardrail DEGREE_GUARDRAIL = 8$"):
+        sg.from_gaps([1, 2, 5, 8])
+
+
 def test_symmetry_characterizations_agree():
     # x in S iff F - x is a gap, and P_S self-reciprocal, against the genus test
     accepted = [gs for gs in _random_gap_sets() if _pairwise_closure_witness(gs) is None]
@@ -186,6 +278,13 @@ def test_semigroup_polynomial():
         assert P.is_monic()
         assert P(1) == 1
         assert sg.is_symmetric(S) == pr.is_self_reciprocal(P)
+    # 1 + (x - 1) sum over the gaps of x^g, read coefficient by coefficient;
+    # S = N has P_S = 1
+    semigroups = [sg.from_generators(gens) for gens in _random_generator_sets()[:200]]
+    for S in semigroups + [sg.from_generators([1])]:
+        gap_set = set(S.gaps)
+        want = [(i == 0) + (i - 1 in gap_set) - (i in gap_set) for i in range(S.frobenius + 2)]
+        assert sg.semigroup_polynomial(S).coeffs == tuple(want)
 
 
 def test_is_cyclotomic():
