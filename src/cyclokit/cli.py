@@ -102,10 +102,23 @@ def _cmd_ramanujan(args):
 
 
 def _cmd_jordan(args):
-    from . import numtheory
+    from . import combinat, numtheory
 
-    v = numtheory.jordan_totient(args.k, args.n)
-    return EXIT_OK, {"k": args.k, "n": args.n, "value": v}, [str(v)]
+    k, n = args.k, args.n
+    combinat.check_table_index(k)
+    # J_K(n) < n^K, so K log10 n <= limit keeps the printed value within the
+    # interpreter's int-to-str limit.  Decided in integers, as n^K <= 10^limit,
+    # since a float log10 rounds 10^43 + 10^27 to 43.0.  For n of b bits,
+    # n^K >= 2^(K (b - 1)) > 16^limit refuses a large n before any power is
+    # taken; otherwise n^K has at most 4 limit + K bits
+    limit = sys.get_int_max_str_digits()
+    if limit and k > 0 and n > 0 and (k * (n.bit_length() - 1) > 4 * limit or n ** k > 10 ** limit):
+        raise ResourceError(
+            f"J_{k}(n) may pass the int-to-str guardrail sys.get_int_max_str_digits() = {limit}: "
+            f"K log10 n > {limit}"
+        )
+    v = numtheory.jordan_totient(k, n)
+    return EXIT_OK, {"k": k, "n": n, "value": v}, [str(v)]
 
 
 def _cmd_bernoulli(args):

@@ -13,7 +13,8 @@ the set-partition interpretation force the multiplier of {k-1, j} to be j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InputError, ResourceError
@@ -113,23 +114,36 @@ def partitions_into_parts(k: int, parts: Sequence[int]) -> Iterator[dict[int, in
     return rec(k, 0)
 
 
+def _over_common_denominator(xs: Sequence[Rational]) -> tuple[int, list[int]]:
+    # d and the integers z_i = d^i x_i for a common denominator d of the x_i;
+    # a Bell polynomial of weight k is homogeneous, B(z) = d^k B(x)
+    xs = [Fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) * d ** i for i, x in enumerate(xs)]
+
+
 def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
-    """Partial Bell polynomial B_{k,j}(x_1, ..., x_{k-j+1})."""
+    """Partial Bell polynomial B_{k,j}(x_1, ..., x_{k-j+1}).
+
+    By the recurrence B_{k,j} = sum_i C(k-1, i-1) x_i B_{k-i,j-1}, in
+    integers over a common denominator: O(j (k - j)^2) terms.  Refuses k above
+    TABLE_INDEX_LIMIT with ResourceError.
+    """
     if not 1 <= j <= k:
         raise InputError(f"need 1 <= j <= k, got j={j}, k={k}")
+    check_table_index(k)
     if len(xs) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(xs)}")
-    total = Fraction(0)
-    for mults in partitions_into_parts(k, range(1, k - j + 2)):
-        if sum(mults.values()) != j:
-            continue
-        coeff = factorial(k)
-        term = Fraction(1)
-        for part, m in mults.items():
-            coeff //= factorial(m) * factorial(part) ** m
-            term *= Fraction(xs[part - 1]) ** m
-        total += coeff * term
-    return total
+    top = k - j
+    d, zs = _over_common_denominator(xs[:top + 1])
+    # row[t] = B_{t+level, level}, which needs z_1, ..., z_(t+1); B_{t+1,1} is
+    # z_(t+1), and the terms C(n, i) z_(i+1) of n = t + level - 1 serve every
+    # level that reaches that n
+    terms = [[comb(n, i) * z for i, z in enumerate(zs[:n + 1])] for n in range(k)]
+    row = zs
+    for level in range(2, j + 1):
+        row = [sum(map(mul, terms[t + level - 1], reversed(row[:t + 1]))) for t in range(top + 1)]
+    return Fraction(row[top], d ** k)
 
 
 def _bell_row(k: int, xs: Sequence[Rational]) -> list[Rational]:
@@ -143,10 +157,12 @@ def _bell_row(k: int, xs: Sequence[Rational]) -> list[Rational]:
 def bell_complete(k: int, xs: Sequence[Rational]) -> Rational:
     """Complete Bell polynomial B_k via the binomial recurrence; B_0 = 1.
 
-    Stays in int when the arguments are ints.
+    Stays in int when the arguments are ints.  Refuses k above
+    TABLE_INDEX_LIMIT with ResourceError.
     """
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
+    check_table_index(k)
     if len(xs) < k:
         raise InputError(f"need at least {k} arguments, got {len(xs)}")
     return _bell_row(k, xs)[k]
@@ -161,8 +177,6 @@ def exp_transform(logderivs: Sequence[Rational], base: Rational) -> list[Fractio
     """
     if base == 0:
         raise DomainError("exp_transform needs a nonzero base value")
-    xs = [Fraction(v) for v in logderivs]
-    d = lcm(*(x.denominator for x in xs))
-    zs = [x.numerator * (d // x.denominator) * d ** j for j, x in enumerate(xs)]
+    d, zs = _over_common_denominator(logderivs)
     base = Fraction(base)
     return [base * Fraction(z, d ** k) for k, z in enumerate(_bell_row(len(zs), zs)[1:], 1)]

@@ -20,6 +20,7 @@ from .combinat import bell_complete
 from .cycloderiv import phi_derivs_at_one
 from .errors import InputError, InvariantError, ResourceError
 from .numtheory import euler_phi, mobius, ramanujan_sum
+from . import polyring
 from .polyring import cyclotomic
 
 TAYLOR_FROM_ONE_CAP = 64
@@ -31,9 +32,16 @@ MOLLER_K_CAP = 64
 
 
 def coeff_direct(n: int, k: int) -> int:
-    """a_n(k) read off the constructed polynomial; 0 beyond the degree."""
+    """a_n(k) read off the constructed polynomial; 0 beyond the degree.
+
+    Refuses phi(n) above DEGREE_GUARDRAIL with ResourceError before Phi_n is
+    built.
+    """
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
+    degree, limit = euler_phi(n), polyring.DEGREE_GUARDRAIL
+    if degree > limit:
+        raise ResourceError(f"degree phi({n}) = {degree} exceeds the guardrail DEGREE_GUARDRAIL = {limit}")
     coeffs = cyclotomic(n).coeffs
     return coeffs[k] if k < len(coeffs) else 0
 

@@ -3,16 +3,25 @@
 A semigroup is held in Kunz coordinates: the Apery set w_0, ..., w_(m-1) of
 its multiplicity m, w_r being its least element = r (mod m) (Kunz 1987;
 Rosales, Garcia-Sanchez, Garcia-Garcia & Branco, J. London Math. Soc. 65,
-2002).  From generators it is a Dijkstra relaxation over the residues (all
-edge weights are generators, hence positive); from a gap set it is the
-largest gap in each class plus m, once each residue class of the complement
-is closed under adding m.  One builder reads off the rest: F = max w - m,
-and x is a gap iff x < w_(x mod m).  Its one sweep over the pairs r <= s of
-nonzero residues reads the Kunz inequalities w_r + w_s >= w_(r+s): one that
-fails means the gap set is not the complement of a semigroup, and one that
-holds with equality makes w_(r+s) no minimal generator.  The minimal
-generators are m and every w_r that is not such a sum.  That is O(F + m^2)
-in all, against O(F^2) for the pairwise test on the gaps.
+2002).  One builder reads off the rest: F = max w - m, and x is a gap iff
+x < w_(x mod m).
+
+From generators, the round-robin algorithm (Bocker & Liptak, Algorithmica
+48, 2007) adds them in ascending order to the table of <m>.  A generator a
+with w_(a mod m) <= a lies in the semigroup of the ones before it and is
+skipped in O(1); any other is a minimal generator and costs m steps, one lap
+per residue class mod gcd(a, m).  So the Apery set and the minimal
+generators come out of one pass, and the set is closed by construction.
+
+From a gap set, w_r is the largest gap in each class plus m, once each
+residue class of the complement is closed under adding m.  One sweep over
+the pairs r <= s of nonzero residues then reads the Kunz inequalities
+w_r + w_s >= w_(r+s): one that fails means the gap set is not the complement
+of a semigroup, and one that holds with equality makes w_(r+s) no minimal
+generator.  The minimal generators are m and every w_r that is not such a
+sum.  That is O(F + m^2) in all, against O(F^2) for the pairwise test on the
+gaps, and it beats a round-robin lap per minimal generator when, as for the
+children of S_k, almost every w_r is one.
 
 The family S_k = {0, k, k+1, ...} minus {2k-1} has semigroup polynomial
 f_k = 1 - x + x^k - x^(2k-1) + x^(2k); the certification pipeline shows S_k
@@ -23,7 +32,6 @@ from 9 on.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -76,33 +84,46 @@ def _check_degree(what: str, degree: int) -> None:
         raise ResourceError(f"{what} {degree} exceeds the guardrail DEGREE_GUARDRAIL = {limit}")
 
 
-def _apery_least_elements(gens: list[int]) -> list[int]:
-    # least element of the semigroup in each residue class mod the smallest
-    # generator, by Dijkstra over residues
-    m = gens[0]
-    dist = [None] * m
-    dist[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist[r] is not None and d > dist[r]:
+def _round_robin(m: int, gens: list[int]) -> tuple[list[int], list[int]]:
+    # the Apery set mod m of the semigroup generated by gens (ascending, m
+    # among them) and its minimal generators.  A least element is a sum of at
+    # most m - 1 generators other than m (a longer sum has a subsum = 0 mod m,
+    # whose removal leaves a smaller element of the class), so every reached
+    # entry w_r, and w_r + a with it, stays below the unreached mark
+    unreached = m * gens[-1] + 1
+    w = [unreached] * m
+    w[0] = 0
+    minimal = [m]
+    for a in gens:
+        if w[a % m] <= a:
             continue
-        for g in gens:
-            nd, nr = d + g, (r + g) % m
-            if dist[nr] is None or nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    assert all(d is not None for d in dist)
-    return dist
+        minimal.append(a)
+        # a moves within the classes mod d = gcd(a, m); one lap per class
+        # from its least entry, which a cannot lower, sets w_(r+a) to
+        # min(w_(r+a), w_r + a) all the way round
+        d, step = gcd(a, m), a % m
+        for c in range(d):
+            cls = w[c::d]
+            r = c + d * cls.index(min(cls))
+            cur = w[r]
+            for _ in range(m // d - 1):
+                r += step
+                if r >= m:
+                    r -= m
+                cur += a
+                if cur < w[r]:
+                    w[r] = cur
+                else:
+                    cur = w[r]
+    return w, minimal
 
 
-def _from_apery(apery: list[int]) -> NumericalSemigroup:
+def _kunz_sweep(apery: list[int]) -> list[int]:
+    # the minimal generators of a gap set's Apery set.  One sweep over the
+    # residue pairs r <= s reads both Kunz conditions at t = r + s (mod m),
+    # wrapped[r + s] = w_t: w_r + w_s < w_t is a gap in the complement's sums,
+    # and w_r + w_s = w_t makes w_t no minimal generator
     m = len(apery)
-    frobenius = max(apery) - m
-    _check_degree("degree F + 1 =", frobenius + 1)
-    # one sweep over the residue pairs r <= s reads both Kunz conditions at
-    # t = r + s (mod m), wrapped[r + s] = w_t: w_r + w_s < w_t is a gap in the
-    # complement's sums, and w_r + w_s = w_t makes w_t no minimal generator
     wrapped = apery + apery
     decomposable = set()
     for r in range(1, m):
@@ -112,7 +133,17 @@ def _from_apery(apery: list[int]) -> NumericalSemigroup:
                 if wr + ws < wt:
                     raise InputError(f"complement not closed: {wr} + {ws} hits gap {wr + ws}")
                 decomposable.add(wt)
-    minimal = [m] + [w for w in apery[1:] if w not in decomposable]
+    return [m] + [w for w in apery[1:] if w not in decomposable]
+
+
+def _frobenius(apery: list[int]) -> int:
+    frobenius = max(apery) - len(apery)
+    _check_degree("degree F + 1 =", frobenius + 1)
+    return frobenius
+
+
+def _from_apery(apery: list[int], frobenius: int, minimal: list[int]) -> NumericalSemigroup:
+    m = len(apery)
     gaps = tuple(x for x in range(1, frobenius + 1) if x < apery[x % m])
     return NumericalSemigroup(
         minimal_generators=tuple(sorted(minimal)),
@@ -135,9 +166,10 @@ def from_generators(gens) -> NumericalSemigroup:
         raise InputError(f"gcd of generators is {g}, not 1 (complement would be infinite)")
     gens = sorted(set(gens))
     # F + 1 >= m when m > 1, so a multiplicity above the limit is refused
-    # before the m-entry Dijkstra table is allocated
+    # before the m-entry table is allocated
     _check_degree("least generator", gens[0])
-    return _from_apery(_apery_least_elements(gens))
+    apery, minimal = _round_robin(gens[0], gens)
+    return _from_apery(apery, _frobenius(apery), minimal)
 
 
 def from_gaps(gaps) -> NumericalSemigroup:
@@ -155,7 +187,9 @@ def from_gaps(gaps) -> NumericalSemigroup:
         if z > m and z - m not in gap_set:
             raise InputError(f"complement not closed: {m} + {z - m} hits gap {z}")
         apery[z % m] = z + m
-    return _from_apery(apery)
+    # the degree is refused before the O(m^2) sweep
+    frobenius = _frobenius(apery)
+    return _from_apery(apery, frobenius, _kunz_sweep(apery))
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,10 +299,10 @@ def test_semigroup_actions_refuse_above_the_degree_guardrail(capsys, monkeypatch
         assert (code, out) == (2, "")
         assert err == "error: degree F + 1 = 22 exceeds the guardrail DEGREE_GUARDRAIL = 20"
 
-    def no_table(gens):
-        raise AssertionError(f"Dijkstra table of {gens[0]} entries allocated")
+    def no_table(m, gens):
+        raise AssertionError(f"Apery table of {m} entries allocated")
 
-    monkeypatch.setattr(semigroup, "_apery_least_elements", no_table)
+    monkeypatch.setattr(semigroup, "_round_robin", no_table)
     for action in actions:
         code, out, err = run(capsys, "semigroup", action, "--gens", deep)
         assert (code, out) == (2, "")
@@ -452,6 +453,63 @@ def test_moller_guardrail_exits_2(capsys):
         code, _, err = run(capsys, "coeff", "2310", str(k + 1), "--method", method)
         assert code == 2, method
         assert "MOLLER_K_CAP" in err and "Traceback" not in err
+
+
+def test_coeff_refuses_above_the_degree_guardrail(capsys, monkeypatch):
+    from cyclokit import cyclocoeffs, polyring
+
+    # phi(105) = 48 is at the patched guardrail and phi(143) = 120 above it
+    monkeypatch.setattr(polyring, "DEGREE_GUARDRAIL", 48)
+    assert run(capsys, "coeff", "105", "7") == (0, "-2", "")
+    assert run(capsys, "coeff", "105", "7", "--method", "all") == (0, "-2\nall methods agree", "")
+
+    def no_build(n):
+        raise AssertionError(f"Phi_{n} built before the guardrail refused")
+
+    monkeypatch.setattr(polyring, "cyclotomic", no_build)
+    monkeypatch.setattr(cyclocoeffs, "cyclotomic", no_build)
+    for method in ("direct", "all"):
+        code, out, err = run(capsys, "coeff", "143", "7", "--method", method)
+        assert (code, out) == (2, ""), method
+        assert err == "error: degree phi(143) = 120 exceeds the guardrail DEGREE_GUARDRAIL = 48", method
+
+
+def test_jordan_refuses_indices_and_values_past_the_guardrails(capsys):
+    from cyclokit.combinat import TABLE_INDEX_LIMIT as n
+
+    assert run(capsys, "jordan", str(n), "6") == (0, str(nt.jordan_totient(n, 6)), "")
+    code, out, err = run(capsys, "jordan", str(n + 1), "6")
+    assert (code, out) == (2, "")
+    assert err == f"error: index {n + 1} exceeds the guardrail TABLE_INDEX_LIMIT = {n}"
+    # K log10 n = 4300 exactly: J_100(10^43) < 10^4300 prints in 4300 digits,
+    # and one more factor of n, or 10^43 + 10^27, whose float log10 is 43.0,
+    # could pass an int-to-str limit of 4300 digits
+    digits, old = 4300, sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        code, out, err = run(capsys, "jordan", "100", str(10 ** 43))
+        assert (code, len(out), err) == (0, digits, "")
+        for k, m in ((101, 10 ** 43), (100, 10 ** 43 + 10 ** 27), (n, 10 ** 11)):
+            code, out, err = run(capsys, "jordan", str(k), str(m))
+            assert (code, out) == (2, ""), (k, m)
+            assert err == (
+                f"error: J_{k}(n) may pass the int-to-str guardrail sys.get_int_max_str_digits() = "
+                f"{digits}: K log10 n > {digits}"
+            ), (k, m)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_bellpoly_refuses_above_the_table_index_limit(capsys):
+    from cyclokit.combinat import TABLE_INDEX_LIMIT as n
+
+    assert run(capsys, "bellpoly", "partial", str(n), str(n), "--xs", "1/2") == (0, f"1/{2 ** n}", "")
+    ones = ",".join(["0"] * (n - 1) + ["7"])
+    assert run(capsys, "bellpoly", "complete", str(n), "--xs", ones) == (0, "7/1", "")
+    for argv in (["partial", str(n + 1), str(n + 1)], ["partial", str(n + 1), "1"], ["complete", str(n + 1)]):
+        code, out, err = run(capsys, "bellpoly", *argv, "--xs", ",".join(["1"] * (n + 1)))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: index {n + 1} exceeds the guardrail TABLE_INDEX_LIMIT = {n}", argv
 
 
 # Argument shapes for every subcommand; N and T take a drawn token.  No

@@ -181,6 +181,47 @@ def test_partitions_into_parts():
         assert sum(p * m for p, m in d.items()) == 10
 
 
+def _bell_partial_by_partitions(k, j, xs):
+    # the partition walk bell_partial ran before the recurrence: the sum over
+    # the partitions of k into j parts of k! prod x_p^m / (m! p!^m)
+    total = Fraction(0)
+    for mults in cb.partitions_into_parts(k, range(1, k - j + 2)):
+        if sum(mults.values()) != j:
+            continue
+        coeff = factorial(k)
+        term = Fraction(1)
+        for part, m in mults.items():
+            coeff //= factorial(m) * factorial(part) ** m
+            term *= Fraction(xs[part - 1]) ** m
+        total += coeff * term
+    return total
+
+
+def test_bell_partial_matches_the_partition_walk():
+    rng = random.Random(20261019)
+    for k in range(1, 15):
+        for j in range(1, k + 1):
+            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k - j + 1)]
+            if rng.random() < 0.3:
+                xs[0] = 0
+            assert cb.bell_partial(k, j, xs) == _bell_partial_by_partitions(k, j, xs), (k, j, xs)
+
+
+def test_bell_polynomials_refuse_above_the_index_limit():
+    n = cb.TABLE_INDEX_LIMIT
+    # B_{n,n} = x_1^n, B_{n,1} = x_n, and B_n = x_n when only x_n is nonzero
+    assert cb.bell_partial(n, n, [Fraction(1, 2)]) == Fraction(1, 2 ** n)
+    assert cb.bell_partial(n, 1, [0] * (n - 1) + [7]) == 7
+    assert cb.bell_complete(n, [0] * (n - 1) + [7]) == 7
+    for call in (
+        lambda: cb.bell_partial(n + 1, n + 1, [1]),
+        lambda: cb.bell_partial(n + 1, 1, [1] * (n + 1)),
+        lambda: cb.bell_complete(n + 1, [1] * (n + 1)),
+    ):
+        with pytest.raises(ResourceError, match="TABLE_INDEX_LIMIT"):
+            call()
+
+
 def test_bell_partial_values():
     assert cb.bell_partial(4, 2, [1, 1, 1]) == 7
     for k in range(1, 7):
@@ -227,13 +268,12 @@ def test_bell_partials_sum_to_complete_seeded():
     st.one_of(rationals, st.integers(-9, 9)).filter(lambda b: b != 0),
 )
 def test_exp_transform_equals_partial_bell_sums(xs, base):
-    # bell_partial enumerates partitions, so it shares no code with the
-    # recurrence that exp_transform runs
+    # the partition walk shares no code with the recurrence exp_transform runs
     out = cb.exp_transform(xs, base)
     assert len(out) == len(xs)
     for k, value in enumerate(out, 1):
         assert isinstance(value, Fraction)
-        assert value == base * sum(cb.bell_partial(k, j, xs) for j in range(1, k + 1))
+        assert value == base * sum(_bell_partial_by_partitions(k, j, xs) for j in range(1, k + 1))
 
 
 def test_exp_transform():

@@ -140,9 +140,16 @@ def test_import_cyclokit_loads_no_submodule():
 
 def test_number_theory_commands_load_only_numtheory_and_polyring():
     _, modules, json_loaded, dataclasses_loaded = _loaded_by(
-        ["phi", "105"], ["phi", "12", "--coeffs"], ["ramanujan", "2", "4"], ["jordan", "2", "6"]
+        ["phi", "105"], ["phi", "12", "--coeffs"], ["ramanujan", "2", "4"]
     )
     assert modules == ["cli", "errors", "numtheory", "polyring"]
+    assert not json_loaded and not dataclasses_loaded
+
+
+def test_jordan_loads_numtheory_and_the_index_guardrail():
+    # K is refused above combinat.TABLE_INDEX_LIMIT
+    _, modules, json_loaded, dataclasses_loaded = _loaded_by(["jordan", "2", "6"])
+    assert modules == ["cli", "combinat", "errors", "numtheory"]
     assert not json_loaded and not dataclasses_loaded
 
 

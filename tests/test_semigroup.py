@@ -1,3 +1,4 @@
+import heapq
 import random
 import re
 from functools import lru_cache
@@ -111,9 +112,14 @@ def _assert_closure_witness(message, gap_set):
 
 def _minimal_by_subset_sums(gens):
     # g is a minimal generator iff it is not a sum of the other generators
+    return _minimal_of_distinct(tuple(sorted(set(gens))))
+
+
+@lru_cache(maxsize=None)
+def _minimal_of_distinct(gens):
     out = []
-    for g in sorted(set(gens)):
-        others = [h for h in set(gens) if h != g]
+    for g in gens:
+        others = [h for h in gens if h != g]
         reach = [True] + [False] * g
         for h in others:
             for x in range(h, g + 1):
@@ -121,6 +127,27 @@ def _minimal_by_subset_sums(gens):
         if not reach[g]:
             out.append(g)
     return tuple(out)
+
+
+def _apery_by_dijkstra(gens):
+    # least element of the semigroup in each residue class mod the smallest
+    # generator, by Dijkstra over the residues (every edge weight is a
+    # generator, hence positive); the route from_generators took before the
+    # round robin
+    m = min(gens)
+    dist = [None] * m
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if dist[r] is not None and d > dist[r]:
+            continue
+        for g in gens:
+            nd, nr = d + g, (r + g) % m
+            if dist[nr] is None or nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    return dist
 
 
 def test_from_gaps_rejections():
@@ -156,7 +183,7 @@ def test_minimal_generators_match_subset_sums():
         assert sg.from_gaps(S.gaps) == S
 
 
-def _from_apery_by_two_loops(apery):
+def _kunz_minimal_by_two_loops(apery):
     # the Kunz reading before the one sweep: the closure loop from_gaps ran
     # over the residue pairs r <= s, then a separate minimal-generator test,
     # w_r minimal iff w_r < w_s + w_(r-s) for every s other than 0 and r
@@ -166,20 +193,16 @@ def _from_apery_by_two_loops(apery):
             if apery[r] + apery[s] < apery[(r + s) % m]:
                 x, y = apery[r], apery[s]
                 raise InputError(f"complement not closed: {x} + {y} hits gap {x + y}")
-    minimal = [m] + [
+    return [m] + [
         w
         for r, w in enumerate(apery)
         if r and all(w < apery[s] + apery[r - s] for s in range(1, m) if s != r)
     ]
-    # the gaps = r (mod m) are r, r + m, ..., w_r - m
-    gaps = tuple(sorted(x for r, w in enumerate(apery) for x in range(r, w, m)))
-    return sg.NumericalSemigroup(
-        minimal_generators=tuple(sorted(minimal)),
-        gaps=gaps,
-        frobenius=max(apery) - m,
-        genus=len(gaps),
-        multiplicity=m,
-    )
+
+
+def _dijkstra_and_two_loops(m, gens):
+    apery = _apery_by_dijkstra(gens)
+    return apery, _kunz_minimal_by_two_loops(apery)
 
 
 def _outcome(build, arg):
@@ -189,11 +212,12 @@ def _outcome(build, arg):
         return str(exc)
 
 
-def _two_loops_and_sweep(monkeypatch, build, args):
-    """build(arg) for each arg with the two Kunz loops, then with the sweep;
-    a semigroup or the InputError message."""
+def _oracles_and_kernels(monkeypatch, build, args):
+    """build(arg) for each arg with Dijkstra and the two Kunz loops, then with
+    the round robin and the sweep; a semigroup or the InputError message."""
     with monkeypatch.context() as patched:
-        patched.setattr(sg, "_from_apery", _from_apery_by_two_loops)
+        patched.setattr(sg, "_round_robin", _dijkstra_and_two_loops)
+        patched.setattr(sg, "_kunz_sweep", _kunz_minimal_by_two_loops)
         old = [_outcome(build, arg) for arg in args]
     return old, [_outcome(build, arg) for arg in args]
 
@@ -214,24 +238,64 @@ def _kunz_gap_sets():
 
 def test_one_sweep_matches_the_two_kunz_loops_on_gap_sets(monkeypatch):
     gap_sets = _random_gap_sets()[:4000] + _kunz_gap_sets()
-    old, new = _two_loops_and_sweep(monkeypatch, sg.from_gaps, gap_sets)
+    old, new = _oracles_and_kernels(monkeypatch, sg.from_gaps, gap_sets)
     assert new == old
     accepted = sum(isinstance(S, sg.NumericalSemigroup) for S in new[4000:])
     swept_out = sum(isinstance(S, str) for S in new[4000:])
     assert accepted > 200 and swept_out > 1000, (accepted, swept_out)
 
 
-def test_one_sweep_matches_the_two_kunz_loops_on_generators(monkeypatch):
-    old, new = _two_loops_and_sweep(monkeypatch, sg.from_generators, _random_generator_sets())
+def test_round_robin_matches_dijkstra_and_the_two_kunz_loops_on_generators(monkeypatch):
+    old, new = _oracles_and_kernels(monkeypatch, sg.from_generators, _round_robin_cases())
     assert new == old
     assert all(isinstance(S, sg.NumericalSemigroup) for S in new)
 
 
+@lru_cache(maxsize=None)
+def _round_robin_cases():
+    # the seeded sets, with duplicates, 1 among the generators and generators
+    # up to 3m + 5, plus the all-minimal {m, ..., 2m - 1} and sets whose
+    # minimal generators share a factor with m
+    cases = list(_random_generator_sets())
+    cases += [tuple(range(m, 2 * m)) for m in range(1, 41)]
+    cases += [(12, 18, 20, 27, 30, 43), (6, 9, 9, 10, 13, 40), (30, 42, 70, 105, 111), (8, 8, 12, 14, 1)]
+    return tuple(cases)
+
+
+def test_round_robin_matches_dijkstra_and_subset_sums():
+    seen = {"gcd(a, m) > 1": 0, "duplicates": 0, "1 in gens": 0, "a >= 2m": 0, "all minimal": 0}
+    for gens in _round_robin_cases():
+        ascending = sorted(gens)
+        m = ascending[0]
+        apery, minimal = sg._round_robin(m, ascending)
+        assert apery == _apery_by_dijkstra(gens), gens
+        assert tuple(minimal) == _minimal_by_subset_sums(gens), gens
+        seen["gcd(a, m) > 1"] += any(gcd(a, m) > 1 for a in minimal[1:])
+        seen["duplicates"] += len(set(gens)) < len(gens)
+        seen["1 in gens"] += m == 1
+        seen["a >= 2m"] += any(a >= 2 * m for a in minimal)
+        seen["all minimal"] += len(minimal) == m > 2
+    assert min(seen.values()) >= 10, seen
+
+
+def test_from_generators_never_reaches_the_kunz_sweep(monkeypatch):
+    def no_sweep(apery):
+        raise AssertionError(f"Kunz sweep over {len(apery)} residues")
+
+    expected = [sg.from_generators(gens) for gens in _round_robin_cases()[:500]]
+    monkeypatch.setattr(sg, "_kunz_sweep", no_sweep)
+    assert [sg.from_generators(gens) for gens in _round_robin_cases()[:500]] == expected
+    for F in (9, 11, 15):  # the three fixed generator lists of the family
+        assert sg.noncyclotomic_symmetric_with_frobenius(F).frobenius == F
+    with pytest.raises(AssertionError, match="Kunz sweep"):
+        sg.from_gaps([1, 2, 3])
+
+
 def test_one_sweep_matches_the_two_kunz_loops_on_the_constructions(monkeypatch):
     frobenius = range(9, 402, 2)
-    old, new = _two_loops_and_sweep(monkeypatch, sg.noncyclotomic_symmetric_with_frobenius, frobenius)
+    old, new = _oracles_and_kernels(monkeypatch, sg.noncyclotomic_symmetric_with_frobenius, frobenius)
     assert new == old
-    old, new = _two_loops_and_sweep(monkeypatch, sg.s_k, range(1, 300))
+    old, new = _oracles_and_kernels(monkeypatch, sg.s_k, range(1, 300))
     assert new == old
 
 
