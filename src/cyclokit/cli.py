@@ -19,17 +19,30 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import CyclokitError, InputError, InvariantError, ResourceError, rat_str as _rat
+from .errors import CyclokitError, InputError, InvariantError, check_guardrail, check_printable, int_str
+from .errors import rat_str as _rat
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
+# largest degree the certifying commands take (kronecker factor|certify,
+# semigroup cyclotomic, fk gcd|certify and frobenius-family); at this limit
+# frobenius-family 5499 and fk certify 2750 each take about 4 s from a cold
+# start, kronecker certify of x^5500 + x + 1 about 3.5 s (Python 3.11,
+# 2 vCPU).  Library callers such as certify(cyclotomic(15015)) are not bound
+# by it.
+CERTIFY_DEGREE_LIMIT = 5500
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
+        # a well-formed num/den that int() refused is past its length limit
+        if num_den := re.fullmatch(r"[+-]?(\d+)(?:/(\d+))?", text.strip()):
+            check_printable("a rational's digit count", max(len(part or "") for part in num_den.groups()))
         raise InputError(f"bad rational {text!r}; use integers or num/den") from None
 
 
@@ -56,13 +69,8 @@ def _read_poly(args):
 # subcommand handlers: each returns (exit_code, json_payload, text_lines)
 
 def _cmd_phi(args):
-    from . import numtheory, polyring
+    from . import polyring
 
-    phi_n = numtheory.euler_phi(args.n)
-    if phi_n > polyring.DEGREE_GUARDRAIL and not args.force:
-        raise ResourceError(
-            f"phi({args.n}) = {phi_n} exceeds the guardrail; pass --force to proceed"
-        )
     f = polyring.cyclotomic(args.n)
     if args.dump_coeffs:
         with open(args.dump_coeffs, "w") as fh:
@@ -87,10 +95,10 @@ def _cmd_coeff(args):
     }
     if method == "all":
         value = cyclocoeffs.coeff_all_methods(n, k)
-        lines = [str(value), "all methods agree"]
+        lines = [int_str(value), "all methods agree"]
     else:
         value = routes[method](n, k)
-        lines = [str(value)]
+        lines = [int_str(value)]
     return EXIT_OK, {"n": n, "k": k, "method": method, "value": value}, lines
 
 
@@ -98,7 +106,7 @@ def _cmd_ramanujan(args):
     from . import numtheory
 
     v = numtheory.ramanujan_sum(args.k, args.n)
-    return EXIT_OK, {"k": args.k, "n": args.n, "value": v}, [str(v)]
+    return EXIT_OK, {"k": args.k, "n": args.n, "value": v}, [int_str(v)]
 
 
 def _cmd_jordan(args):
@@ -106,19 +114,8 @@ def _cmd_jordan(args):
 
     k, n = args.k, args.n
     combinat.check_table_index(k)
-    # J_K(n) < n^K, so K log10 n <= limit keeps the printed value within the
-    # interpreter's int-to-str limit.  Decided in integers, as n^K <= 10^limit,
-    # since a float log10 rounds 10^43 + 10^27 to 43.0.  For n of b bits,
-    # n^K >= 2^(K (b - 1)) > 16^limit refuses a large n before any power is
-    # taken; otherwise n^K has at most 4 limit + K bits
-    limit = sys.get_int_max_str_digits()
-    if limit and k > 0 and n > 0 and (k * (n.bit_length() - 1) > 4 * limit or n ** k > 10 ** limit):
-        raise ResourceError(
-            f"J_{k}(n) may pass the int-to-str guardrail sys.get_int_max_str_digits() = {limit}: "
-            f"K log10 n > {limit}"
-        )
     v = numtheory.jordan_totient(k, n)
-    return EXIT_OK, {"k": k, "n": n, "value": v}, [str(v)]
+    return EXIT_OK, {"k": k, "n": n, "value": v}, [int_str(v)]
 
 
 def _cmd_bernoulli(args):
@@ -135,7 +132,7 @@ def _cmd_stirling(args):
         v = combinat.stirling_first(args.k, args.j)
     else:
         v = combinat.stirling_second(args.k, args.j)
-    return EXIT_OK, {"kind": args.kind, "k": args.k, "j": args.j, "value": v}, [str(v)]
+    return EXIT_OK, {"kind": args.kind, "k": args.k, "j": args.j, "value": v}, [int_str(v)]
 
 
 def _cmd_bellpoly(args):
@@ -170,20 +167,6 @@ def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
     return None
 
 
-def _family_poly(family: str, n: int):
-    # Phi_n or Psi_n = (x^n - 1) / Phi_n, refused before it is built when its
-    # degree is above the guardrail
-    from . import numtheory, polyring
-
-    phi_n = numtheory.euler_phi(n)
-    degree = phi_n if family == "phi" else n - phi_n
-    if degree > polyring.DEGREE_GUARDRAIL:
-        raise ResourceError(
-            f"degree {degree} exceeds the guardrail DEGREE_GUARDRAIL = {polyring.DEGREE_GUARDRAIL}"
-        )
-    return polyring.cyclotomic(n) if family == "phi" else polyring.inverse_cyclotomic(n)
-
-
 def _cmd_logderiv(args):
     from . import combinat, polyring
 
@@ -200,7 +183,18 @@ def _cmd_logderiv(args):
     value = closed
     # a closed form needs no polynomial; only the oracle builds one
     if closed is None or args.check_oracle:
-        f = _read_poly(args) if args.family == "poly" else _family_poly(args.family, args.n)
+        if args.family == "poly":
+            f = _read_poly(args)
+        elif args.family == "phi":
+            f = polyring.cyclotomic(args.n)
+        else:
+            f = polyring.inverse_cyclotomic(args.n)
+        # at x = p/q the value has about k (deg f log2 max(|p|, q) + log2 max|f_i|)
+        # bits; refused before the first Taylor pass when they cannot be printed
+        point = max(abs(at.numerator), at.denominator).bit_length() - 1
+        height = max(map(abs, f.coeffs), default=1).bit_length() - 1
+        digits = k * (f.degree * point + height) * 30103 // 100000
+        check_printable("the value's estimated digit count", digits)
         value = polyring.log_derivative_oracle(f, k, at)
         if closed is not None and value != closed:
             raise InvariantError(
@@ -249,7 +243,7 @@ def _cmd_kronecker(args):
     from . import kronecker
 
     f = _read_poly(args)
-    _check_certify_degree(f.degree, args)
+    _check_certify_degree(f.degree)
     if args.action == "factor":
         fac = kronecker.factor_kronecker(f)
         return EXIT_OK, fac.to_json_obj(), [_describe_factorization(fac)]
@@ -265,18 +259,9 @@ def _parse_gens(text: str) -> list[int]:
         raise InputError(f"bad generator list {text!r}") from None
 
 
-def _check_certify_degree(degree: int, args) -> None:
-    # the certify-backed commands refuse before the polynomial is built or
-    # factored; those that build it themselves take --force
-    from . import kronecker
-
-    limit = kronecker.CERTIFY_DEGREE_LIMIT
-    forcible = hasattr(args, "force")
-    if degree > limit and not (forcible and args.force):
-        raise ResourceError(
-            f"degree {degree} exceeds the guardrail CERTIFY_DEGREE_LIMIT = {limit}"
-            + ("; pass --force to proceed" if forcible else "")
-        )
+def _check_certify_degree(degree: int) -> None:
+    # the certifying commands refuse before the polynomial is built or factored
+    check_guardrail("degree", degree, "CERTIFY_DEGREE_LIMIT", CERTIFY_DEGREE_LIMIT)
 
 
 def _cmd_semigroup(args):
@@ -298,7 +283,7 @@ def _cmd_semigroup(args):
         P = semigroup.semigroup_polynomial(S)
         return EXIT_OK, {"coeffs": list(P.coeffs)}, [polyring.format_poly(P)]
     # P_S has degree F + 1
-    _check_certify_degree(S.frobenius + 1, args)
+    _check_certify_degree(S.frobenius + 1)
     cert = semigroup.is_cyclotomic(S)
     code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
     lines = ["cyclotomic" if cert.is_kronecker else "not cyclotomic"]
@@ -310,7 +295,7 @@ def _cmd_fk(args):
     from . import kronecker, semigroup
 
     if args.action in ("gcd", "certify"):
-        _check_certify_degree(2 * args.k, args)
+        _check_certify_degree(2 * args.k)
     if args.action == "gcd":
         pattern = semigroup.fk_gcd_pattern(args.k)
         text = " * ".join(f"Phi_{d}" for d in pattern) if pattern else "1"
@@ -330,7 +315,7 @@ def _cmd_frobenius_family(args):
     from . import semigroup
 
     # the semigroup polynomial certified at the end has degree F + 1
-    _check_certify_degree(args.f + 1, args)
+    _check_certify_degree(args.f + 1)
     S = semigroup.noncyclotomic_symmetric_with_frobenius(args.f)
     gens = ",".join(str(g) for g in S.minimal_generators)
     payload = S.to_json_obj()
@@ -386,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--coeffs", action="store_true", help="print the CSV coefficient list")
     p.add_argument("--dump-coeffs", metavar="FILE", help="write index,coefficient CSV")
-    p.add_argument("--force", action="store_true", help="ignore the degree guardrail")
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("coeff", help="coefficient a_n(k) by any route")
@@ -450,14 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semigroup", help="numerical semigroup queries")
     p.add_argument("action", choices=["info", "symmetric", "cyclotomic", "polynomial"])
     p.add_argument("--gens", required=True, help="comma-separated generators")
-    p.add_argument("--force", action="store_true", help="ignore the degree guardrail of cyclotomic")
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("fk", help="the gap family f_k = 1 - x + x^k - x^(2k-1) + x^(2k)")
     p.add_argument("action", choices=["gcd", "certify", "sweep"])
     p.add_argument("k", type=int, nargs="?", default=None)
     p.add_argument("--max", type=int, default=18, help="sweep upper bound")
-    p.add_argument("--force", action="store_true", help="ignore the degree guardrail of gcd and certify")
     p.set_defaults(handler=_cmd_fk)
 
     p = sub.add_parser(
@@ -465,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="symmetric non-cyclotomic semigroup with the given odd Frobenius number",
     )
     p.add_argument("f", type=int)
-    p.add_argument("--force", action="store_true", help="ignore the degree guardrail")
     p.set_defaults(handler=_cmd_frobenius_family)
 
     p = sub.add_parser("tables", help="reproduce the coefficient or factorization tables")

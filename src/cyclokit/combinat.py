@@ -17,7 +17,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InputError, ResourceError
+from .errors import DomainError, InputError, check_guardrail
 
 Rational = Fraction | int
 
@@ -34,8 +34,7 @@ _S2_ROWS: list[tuple[int, ...]] = [(1,)]
 
 def check_table_index(n: int) -> None:
     """Raise ResourceError for an index above TABLE_INDEX_LIMIT."""
-    if n > TABLE_INDEX_LIMIT:
-        raise ResourceError(f"index {n} exceeds the guardrail TABLE_INDEX_LIMIT = {TABLE_INDEX_LIMIT}")
+    check_guardrail("index", n, "TABLE_INDEX_LIMIT", TABLE_INDEX_LIMIT)
 
 
 def _table_entry(table: list, n: int, step):

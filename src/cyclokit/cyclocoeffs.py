@@ -16,11 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .combinat import bell_complete
+from .combinat import bell_complete, check_table_index
 from .cycloderiv import phi_derivs_at_one
-from .errors import InputError, InvariantError, ResourceError
+from .errors import InputError, InvariantError, check_guardrail
 from .numtheory import euler_phi, mobius, ramanujan_sum
-from . import polyring
 from .polyring import cyclotomic
 
 TAYLOR_FROM_ONE_CAP = 64
@@ -32,16 +31,9 @@ MOLLER_K_CAP = 64
 
 
 def coeff_direct(n: int, k: int) -> int:
-    """a_n(k) read off the constructed polynomial; 0 beyond the degree.
-
-    Refuses phi(n) above DEGREE_GUARDRAIL with ResourceError before Phi_n is
-    built.
-    """
+    """a_n(k) read off the constructed polynomial; 0 beyond the degree."""
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
-    degree, limit = euler_phi(n), polyring.DEGREE_GUARDRAIL
-    if degree > limit:
-        raise ResourceError(f"degree phi({n}) = {degree} exceeds the guardrail DEGREE_GUARDRAIL = {limit}")
     coeffs = cyclotomic(n).coeffs
     return coeffs[k] if k < len(coeffs) else 0
 
@@ -64,8 +56,7 @@ def coeff_moller(n: int, k: int) -> int:
     """
     if n < 1 or k < 0:
         raise InputError("need n >= 1 and k >= 0")
-    if k > MOLLER_K_CAP:
-        raise ResourceError(f"k = {k} exceeds the Moller guardrail MOLLER_K_CAP = {MOLLER_K_CAP}")
+    check_guardrail("k =", k, "MOLLER_K_CAP", MOLLER_K_CAP)
     sign = -1 if n == 1 else 1
     if k == 0:
         return sign
@@ -91,9 +82,11 @@ def coeff_moller(n: int, k: int) -> int:
 
 
 def coeff_prefix_recurrence(n: int, K: int) -> list[int]:
-    """(a_n(0), ..., a_n(K)) by a_n(k) = -(1/k) sum_{j<k} a_n(j) r_{k-j}(n)."""
+    """(a_n(0), ..., a_n(K)) by a_n(k) = -(1/k) sum_{j<k} a_n(j) r_{k-j}(n);
+    refuses K above TABLE_INDEX_LIMIT with ResourceError."""
     if n < 2 or K < 0:
         raise InputError("need n >= 2 and K >= 0")
+    check_table_index(K)
     out = [1]
     for k in range(1, K + 1):
         s = sum(out[j] * ramanujan_sum(k - j, n) for j in range(k))
@@ -104,9 +97,11 @@ def coeff_prefix_recurrence(n: int, K: int) -> list[int]:
 
 
 def coeff_bell(n: int, k: int) -> int:
-    """a_n(k) = B_k(-0! r_1(n), ..., -(k-1)! r_k(n)) / k!."""
+    """a_n(k) = B_k(-0! r_1(n), ..., -(k-1)! r_k(n)) / k!; refuses k above
+    TABLE_INDEX_LIMIT with ResourceError before the k arguments are built."""
     if n < 2 or k < 0:
         raise InputError("need n >= 2 and k >= 0")
+    check_table_index(k)
     xs = [-factorial(j - 1) * ramanujan_sum(j, n) for j in range(1, k + 1)]
     val = bell_complete(k, xs)
     if val % factorial(k):
@@ -124,8 +119,7 @@ def coeff_taylor_from_one(n: int, k: int) -> int:
     if n < 2 or k < 0:
         raise InputError("need n >= 2 and k >= 0")
     d = euler_phi(n)
-    if d > TAYLOR_FROM_ONE_CAP:
-        raise ResourceError(f"phi({n}) = {d} exceeds the configured cap {TAYLOR_FROM_ONE_CAP}")
+    check_guardrail(f"degree phi({n}) =", d, "TAYLOR_FROM_ONE_CAP", TAYLOR_FROM_ONE_CAP)
     if k > d:
         raise InputError(f"k must be at most phi(n) = {d}")
     derivs = phi_derivs_at_one(n, d)

@@ -71,14 +71,6 @@ REASON_ODD_IDENTITY = "odd_identity_violation"
 REASON_EVEN_BOUND = "even_bound_violation"
 REASON_REMAINDER = "nontrivial_remainder"
 
-# largest degree the CLI certifies or factors (fk gcd|certify, semigroup
-# cyclotomic and frobenius-family unless --force; kronecker factor|certify
-# always); at this limit frobenius-family 5499 and fk certify 2750 each take
-# about 4 s from a cold start, kronecker certify of x^5500 + x + 1 about 3.5 s
-# (Python 3.11, 2 vCPU)
-CERTIFY_DEGREE_LIMIT = 5500
-
-
 @dataclass
 class CycloFactorization:
     """f = x^e0 * prod Phi_d^(e_d) * remainder, with a monic remainder that has

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import InputError, ResourceError
+from .errors import InputError, check_guardrail
 
 # the shared sieve never grows past this: 155 611 primes, about 0.13 s to build
 PRIME_SIEVE_LIMIT = 2 ** 21
@@ -31,10 +31,7 @@ def primes_up_to(limit: int) -> list[int]:
     Raises ResourceError for a limit above PRIME_SIEVE_LIMIT.
     """
     global _prime_list, _prime_limit
-    if limit > PRIME_SIEVE_LIMIT:
-        raise ResourceError(
-            f"primes up to {limit} exceed the sieve guardrail PRIME_SIEVE_LIMIT = {PRIME_SIEVE_LIMIT}"
-        )
+    check_guardrail("sieve limit", limit, "PRIME_SIEVE_LIMIT", PRIME_SIEVE_LIMIT)
     if limit > _prime_limit:
         new_limit = min(max(limit, 2 * _prime_limit), PRIME_SIEVE_LIMIT)
         sieve = bytearray([1]) * (new_limit + 1)
@@ -84,11 +81,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             out.append((p, e))
     else:
         # no prime up to the guardrail L divides m, so m is prime if m < (L + 1)^2
-        if m >= (_prime_limit + 1) ** 2:
-            raise ResourceError(
-                f"factorize: a cofactor of {m.bit_length()} bits has no prime factor up to "
-                f"the sieve guardrail PRIME_SIEVE_LIMIT = {PRIME_SIEVE_LIMIT}"
-            )
+        check_guardrail(
+            f"factorize: a cofactor of {m.bit_length()} bits has no prime factor up to the sieve "
+            "limit, and its square root", isqrt(m), "PRIME_SIEVE_LIMIT", PRIME_SIEVE_LIMIT,
+        )
     if m > 1:
         out.append((m, 1))
     return tuple(out)

@@ -16,13 +16,12 @@ zeta_m^2 = t zeta_m - 1 with t = 2 cos(2 pi / m); no other m is needed.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
-from .errors import InputError, PoleError
+from .errors import InputError, PoleError, check_guardrail, check_printable, int_str
 from .numtheory import divisors, factorize, mobius, prime_power_value
 
 
@@ -199,21 +198,22 @@ def cyclotomic(n: int) -> IntPoly:
     palindrome, so the power series product up to degree phi(n)/2 gives it:
     one pass over those coefficients per factor, and the factor is 1 there
     when d > phi(n)/2; O(2^omega(n) phi(n)) work.  Any other n is inflated
-    from its radical r via Phi_n(x) = Phi_r(x^(n/r)).
+    from its radical r via Phi_n(x) = Phi_r(x^(n/r)).  Refuses phi(n) above
+    DEGREE_GUARDRAIL with ResourceError before anything is built.
     """
     if n < 1:
         raise InputError(f"cyclotomic index must be >= 1, got {n}")
     if n == 1:
         return IntPoly((-1, 1))
-    primes = [p for p, _ in factorize(n)]
-    r = prod(primes)
+    fac = factorize(n)
+    deg = prod((p - 1) * p ** (e - 1) for p, e in fac)
+    check_guardrail(f"degree phi({n}) =", deg, "DEGREE_GUARDRAIL", DEGREE_GUARDRAIL)
+    r = prod(p for p, _ in fac)
     if r != n:
         m = n // r
-        base = cyclotomic(r)
-        out = [0] * (base.degree * m + 1)
-        out[::m] = base.coeffs
+        out = [0] * (deg + 1)
+        out[::m] = cyclotomic(r).coeffs
         return IntPoly(out)
-    deg = prod(p - 1 for p in primes)
     half = deg // 2
     out = [1] + [0] * half
     _times_mobius_factors(out, {d: mobius(n // d) for d in divisors(n) if d <= half})
@@ -243,7 +243,8 @@ def cyclotomic_product(factors: dict[int, int], cofactor: IntPoly) -> IntPoly:
     2011).  Each factor (1 - x^t)^(+-1) is one pass over the cofactor's power
     series, truncated at the degree deg cofactor + sum_t t n_t of the result;
     the truncation is exact because the product has exactly that degree.
-    Work: O(deg) per pass, at most sum_d e_d 2^omega(d) passes.
+    Work: O(deg) per pass, at most sum_d e_d 2^omega(d) passes.  Refuses a
+    degree above DEGREE_GUARDRAIL with ResourceError before it allocates.
     """
     if cofactor.is_zero():
         return IntPoly()
@@ -253,7 +254,9 @@ def cyclotomic_product(factors: dict[int, int], cofactor: IntPoly) -> IntPoly:
             raise InputError(f"negative exponent {e} for Phi_{d}")
         for t in divisors(d):
             net[t] = net.get(t, 0) + mobius(d // t) * e
-    out = list(cofactor.coeffs) + [0] * sum(t * n for t, n in net.items())
+    extra = sum(t * n for t, n in net.items())
+    check_guardrail("degree", cofactor.degree + extra, "DEGREE_GUARDRAIL", DEGREE_GUARDRAIL)
+    out = list(cofactor.coeffs) + [0] * extra
     _times_mobius_factors(out, net)
     if factors.get(1, 0) % 2:
         out = [-c for c in out]
@@ -405,7 +408,8 @@ def norm_at_root_of_unity(f: IntPoly, m: int) -> int:
 
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?x(?:\^(\d+))?)?$")
 
-# largest degree the CLI builds or parses (a dense list of that length)
+# largest degree of a dense list that cyclotomic, cyclotomic_product and
+# parse_poly allocate
 DEGREE_GUARDRAIL = 10 ** 6
 
 
@@ -413,7 +417,7 @@ def format_poly_csv(f: IntPoly) -> str:
     """Ascending coefficient list "c0,c1,...,cd"."""
     if f.is_zero():
         return "0"
-    return ",".join(str(c) for c in f.coeffs)
+    return ",".join(map(int_str, f.coeffs))
 
 
 def format_poly(f: IntPoly) -> str:
@@ -428,15 +432,27 @@ def format_poly(f: IntPoly) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
-            body = str(mag)
+            body = int_str(mag)
         else:
             xpow = "x" if k == 1 else f"x^{k}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
+            body = xpow if mag == 1 else f"{int_str(mag)}*{xpow}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"{sign} {body}")
     return " ".join(parts)
+
+
+def _parse_int(token: str, what: str, pos: int) -> int:
+    # int(token); int() refuses a digit string longer than the interpreter's
+    # int-to-str limit, which is a refused size, not a malformed number
+    try:
+        return int(token)
+    except ValueError:
+        digits = token.lstrip("+-")
+        if digits.isdigit():
+            check_printable(f"the {what} at position {pos}: digit count", len(digits))
+        raise InputError(f"bad {what} {token!r} at position {pos}") from None
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -445,14 +461,8 @@ def parse_poly(text: str) -> IntPoly:
     if not s:
         raise InputError("empty polynomial string")
     if "x" not in s:
-        coeffs = []
-        for pos, tok in enumerate(s.split(",")):
-            tok = tok.strip()
-            try:
-                coeffs.append(int(tok))
-            except ValueError:
-                raise InputError(f"bad coefficient {tok!r} at position {pos}") from None
-        return IntPoly(coeffs)
+        tokens = enumerate(s.split(","))
+        return IntPoly([_parse_int(tok.strip(), "coefficient", pos) for pos, tok in tokens])
     compact = s.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(terms) != compact:
@@ -463,21 +473,14 @@ def parse_poly(text: str) -> IntPoly:
         if not mt or (mt.group(2) is None and "x" not in term):
             raise InputError(f"bad term {term!r} at position {pos}")
         sign = -1 if mt.group(1) == "-" else 1
-        try:
-            mag = int(mt.group(2)) if mt.group(2) is not None else 1
-            if "x" in term:
-                k = int(mt.group(3)) if mt.group(3) is not None else 1
-            else:
-                k = 0
-        except ValueError:  # the regex admits only digits, so this is the length limit
-            raise InputError(
-                f"a number in the term at position {pos} has more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
+        mag = _parse_int(mt.group(2), "number in the term", pos) if mt.group(2) is not None else 1
+        if "x" in term:
+            k = _parse_int(mt.group(3), "number in the term", pos) if mt.group(3) is not None else 1
+        else:
+            k = 0
         coeffs[k] = coeffs.get(k, 0) + sign * mag
     top = max(coeffs)
-    if top > DEGREE_GUARDRAIL:
-        raise InputError(f"degree {top} exceeds the guardrail {DEGREE_GUARDRAIL}")
+    check_guardrail("degree", top, "DEGREE_GUARDRAIL", DEGREE_GUARDRAIL)
     out = [0] * (top + 1)
     for k, c in coeffs.items():
         out[k] = c

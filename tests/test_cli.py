@@ -7,6 +7,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclokit import cli
 from cyclokit import numtheory as nt
 from cyclokit.cli import build_parser, main
 
@@ -228,7 +229,7 @@ def test_fk_sweep_refuses_before_building_a_row(capsys, monkeypatch):
 
 
 def test_certify_commands_refuse_above_the_degree_guardrail(capsys, monkeypatch):
-    from cyclokit import kronecker, semigroup
+    from cyclokit import semigroup
 
     # with the limit at 20: f_10 and P_S of F = 19 have degree 20, one step up
     # is f_11 and F = 21
@@ -236,25 +237,23 @@ def test_certify_commands_refuse_above_the_degree_guardrail(capsys, monkeypatch)
                 ["semigroup", "cyclotomic", "--gens", "3,11"])
     above = (["fk", "gcd", "11"], ["fk", "certify", "11"], ["frobenius-family", "21"],
              ["semigroup", "cyclotomic", "--gens", "2,23"])
-    want = {tuple(argv): run(capsys, *argv) for argv in at_limit + above}
-    monkeypatch.setattr(kronecker, "CERTIFY_DEGREE_LIMIT", 20)
+    want = {tuple(argv): run(capsys, *argv) for argv in at_limit}
+    monkeypatch.setattr(cli, "CERTIFY_DEGREE_LIMIT", 20)
     for argv in at_limit:
         assert run(capsys, *argv) == want[tuple(argv)], argv
-    builders = {name: getattr(semigroup, name) for name in ("fk_poly", "semigroup_polynomial", "s_k")}
 
     def no_poly(arg):
         raise AssertionError(f"built from {arg} before the guardrail refused")
 
-    for name in builders:
+    for name in ("fk_poly", "semigroup_polynomial", "s_k"):
         monkeypatch.setattr(semigroup, name, no_poly)
     for argv in above:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert "CERTIFY_DEGREE_LIMIT" in err and "--force" in err and "Traceback" not in err
-    for name, builder in builders.items():
-        monkeypatch.setattr(semigroup, name, builder)
-    for argv in above:
-        assert run(capsys, *argv, "--force") == want[tuple(argv)], argv
+        assert err == "error: degree 22 exceeds the guardrail CERTIFY_DEGREE_LIMIT = 20", argv
+        # there is no override
+        code, out, err = run(capsys, *argv, "--force")
+        assert (code, out) == (2, "") and "unrecognized arguments: --force" in err, argv
 
 
 def test_kronecker_poly_refused_above_the_certify_degree_limit(tmp_path, capsys, monkeypatch):
@@ -266,7 +265,7 @@ def test_kronecker_poly_refused_above_the_certify_degree_limit(tmp_path, capsys,
     above = (["--poly", "x^21 + x + 1"], ["--file", str(source)])
     want = {(action, *argv): run(capsys, "kronecker", action, *argv)
             for action in ("factor", "certify") for argv in at_limit}
-    monkeypatch.setattr(kronecker, "CERTIFY_DEGREE_LIMIT", 20)
+    monkeypatch.setattr(cli, "CERTIFY_DEGREE_LIMIT", 20)
     for key, expected in want.items():
         assert run(capsys, "kronecker", *key) == expected, key
 
@@ -325,11 +324,10 @@ def test_logderiv_refuses_orders_above_the_table_index_limit(capsys):
 def test_logderiv_closed_form_builds_no_polynomial(capsys, monkeypatch):
     from cyclokit import polyring
 
-    def no_poly(n):
-        raise AssertionError(f"polynomial of index {n} built")
+    def no_poly(out, net):
+        raise AssertionError(f"series of length {len(out)} allocated")
 
-    monkeypatch.setattr(polyring, "cyclotomic", no_poly)
-    monkeypatch.setattr(polyring, "inverse_cyclotomic", no_poly)
+    monkeypatch.setattr(polyring, "_times_mobius_factors", no_poly)
     p = 2000003  # prime, so deg Phi_p = p - 1 is above the guardrail
     half = (p - 1) // 2
     assert run(capsys, "logderiv", "phi", str(p), "--at", "1", "--order", "1") == (0, f"{half}/1", "")
@@ -390,7 +388,7 @@ def test_poly_digit_limit_exits_2(capsys):
     for poly in (f"x^{nines}", f"{nines}x + 1"):
         code, _, err = run(capsys, "kronecker", "certify", "--poly", poly)
         assert code == 2
-        assert "more than" in err and "Traceback" not in err
+        assert "guardrail sys.get_int_max_str_digits() = " in err and "Traceback" not in err
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys):
@@ -456,18 +454,19 @@ def test_moller_guardrail_exits_2(capsys):
 
 
 def test_coeff_refuses_above_the_degree_guardrail(capsys, monkeypatch):
-    from cyclokit import cyclocoeffs, polyring
+    from cyclokit import polyring
 
     # phi(105) = 48 is at the patched guardrail and phi(143) = 120 above it
     monkeypatch.setattr(polyring, "DEGREE_GUARDRAIL", 48)
     assert run(capsys, "coeff", "105", "7") == (0, "-2", "")
     assert run(capsys, "coeff", "105", "7", "--method", "all") == (0, "-2\nall methods agree", "")
 
-    def no_build(n):
-        raise AssertionError(f"Phi_{n} built before the guardrail refused")
+    def no_build(out, net):
+        raise AssertionError(f"series of length {len(out)} allocated before the guardrail refused")
 
-    monkeypatch.setattr(polyring, "cyclotomic", no_build)
-    monkeypatch.setattr(cyclocoeffs, "cyclotomic", no_build)
+    # a cached Phi_143 would be served without the check
+    polyring.cyclotomic.cache_clear()
+    monkeypatch.setattr(polyring, "_times_mobius_factors", no_build)
     for method in ("direct", "all"):
         code, out, err = run(capsys, "coeff", "143", "7", "--method", method)
         assert (code, out) == (2, ""), method
@@ -481,20 +480,21 @@ def test_jordan_refuses_indices_and_values_past_the_guardrails(capsys):
     code, out, err = run(capsys, "jordan", str(n + 1), "6")
     assert (code, out) == (2, "")
     assert err == f"error: index {n + 1} exceeds the guardrail TABLE_INDEX_LIMIT = {n}"
-    # K log10 n = 4300 exactly: J_100(10^43) < 10^4300 prints in 4300 digits,
-    # and one more factor of n, or 10^43 + 10^27, whose float log10 is 43.0,
-    # could pass an int-to-str limit of 4300 digits
+    # J_100(10^43) < 10^4300 prints in 4300 digits, and so does J_100(10^43 +
+    # 3432), although (10^43 + 3432)^100 > 10^4300; one more factor of n, or
+    # 10^43 + 10^27, gives a value past an int-to-str limit of 4300 digits
     digits, old = 4300, sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:
-        code, out, err = run(capsys, "jordan", "100", str(10 ** 43))
-        assert (code, len(out), err) == (0, digits, "")
-        for k, m in ((101, 10 ** 43), (100, 10 ** 43 + 10 ** 27), (n, 10 ** 11)):
+        for m in (10 ** 43, 10 ** 43 + 3432):
+            code, out, err = run(capsys, "jordan", "100", str(m))
+            assert (code, len(out), err) == (0, digits, ""), m
+        for k, m, d in ((101, 10 ** 43, 4343), (100, 10 ** 43 + 10 ** 27, 4301), (n, 10 ** 11, 4400)):
             code, out, err = run(capsys, "jordan", str(k), str(m))
             assert (code, out) == (2, ""), (k, m)
             assert err == (
-                f"error: J_{k}(n) may pass the int-to-str guardrail sys.get_int_max_str_digits() = "
-                f"{digits}: K log10 n > {digits}"
+                f"error: a printed value's digit count {d} exceeds the guardrail "
+                f"sys.get_int_max_str_digits() = {digits}"
             ), (k, m)
     finally:
         sys.set_int_max_str_digits(old)
@@ -516,7 +516,7 @@ def test_bellpoly_refuses_above_the_table_index_limit(capsys):
 # --dump-coeffs (it writes a file), and the tokens are never positive sizes,
 # so no case can ask for huge but valid work.
 _CLI_FORMS = [
-    ["phi", "N"], ["phi", "N", "--coeffs", "--force"],
+    ["phi", "N"], ["phi", "N", "--coeffs"],
     ["coeff", "N", "N"], ["coeff", "N", "N", "--method", "all"],
     ["coeff", "N", "N", "--method", "moller"], ["coeff", "N", "N", "--method", "taylor1"],
     ["ramanujan", "N", "N"], ["jordan", "N", "N"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cyclokit import cycloderiv as cd
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
-from cyclokit.errors import DomainError, InputError, PoleError
+from cyclokit.errors import DomainError, InputError, PoleError, ResourceError
 from cyclokit.polyring import IntPoly
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=8))
@@ -553,13 +553,13 @@ def test_parse_errors_have_positions():
 def test_parse_degree_guardrail():
     # refused from the exponent, before the dense list is allocated
     assert pr.parse_poly("x^1000000 + 1").degree == pr.DEGREE_GUARDRAIL == 10 ** 6
-    with pytest.raises(InputError, match="guardrail"):
+    with pytest.raises(ResourceError, match=r"^degree 1000001 exceeds the guardrail DEGREE_GUARDRAIL = 1000000$"):
         pr.parse_poly("x^1000001")
 
 
 def test_parse_digit_limit():
-    # a term-form number past Python's int string limit (4300 digits by
-    # default) is an input error, as in the CSV form, not a ValueError
+    # a number past Python's int string limit (4300 digits by default) is a
+    # refused size in both forms, not a ValueError
     limit = 4300
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
@@ -567,13 +567,14 @@ def test_parse_digit_limit():
         under, over = "9" * limit, "9" * (limit + 1)
         assert pr.parse_poly(f"{under}x + 1") == IntPoly((1, int(under)))
         assert pr.parse_poly(f"x - {under}") == IntPoly((-int(under), 1))
-        for text in (f"{over}x + 1", f"x - {over}", f"x^{over}", f"2*x^{over} + x"):
-            with pytest.raises(InputError, match=f"more than {limit} digits"):
+        refused = f"digit count {limit + 1} exceeds the guardrail sys.get_int_max_str_digits\\(\\) = {limit}$"
+        for text in (f"{over}x + 1", f"x - {over}", f"x^{over}", f"2*x^{over} + x", f"1,{over}", f"1,-{over}"):
+            with pytest.raises(ResourceError, match=refused):
                 pr.parse_poly(text)
-        with pytest.raises(InputError, match="guardrail"):
+        with pytest.raises(ResourceError, match="DEGREE_GUARDRAIL"):
             pr.parse_poly(f"x^{under}")
         with pytest.raises(InputError, match="bad coefficient"):
-            pr.parse_poly(f"1,{over}")
+            pr.parse_poly(f"1,{under}a")
     finally:
         sys.set_int_max_str_digits(old)
 
