@@ -152,19 +152,15 @@ def _cmd_bellpoly(args):
 def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
     from . import cycloderiv
 
-    if family == "phi":
-        if at == 0:
-            return cycloderiv.log_deriv_phi_at_zero(n, k)
-        if at == 1:
-            return cycloderiv.log_deriv_phi_at_one(n, k)
-        if at == -1:
-            return cycloderiv.log_deriv_phi_at_minus_one(n, k)
-    elif family == "invphi":
-        if at == 0:
-            return cycloderiv.log_deriv_inverse_cyclo_at_zero(n, k)
-        if at == -1:
-            return cycloderiv.log_deriv_inverse_cyclo_at_minus_one(n, k)
-    return None
+    # a Fraction point hashes and compares like the int it equals
+    closed = {
+        ("phi", 0): cycloderiv.log_deriv_phi_at_zero,
+        ("phi", 1): cycloderiv.log_deriv_phi_at_one,
+        ("phi", -1): cycloderiv.log_deriv_phi_at_minus_one,
+        ("invphi", 0): cycloderiv.log_deriv_inverse_cyclo_at_zero,
+        ("invphi", -1): cycloderiv.log_deriv_inverse_cyclo_at_minus_one,
+    }.get((family, at))
+    return None if closed is None else closed(n, k)
 
 
 def _cmd_logderiv(args):
@@ -228,7 +224,8 @@ def _describe_factorization(fac) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def _describe_certificate(cert) -> list[str]:
+def _certificate_result(cert):
+    # (exit code, JSON payload, text lines) of a certifying command
     lines = [f"verdict: {cert.verdict}"]
     if cert.reason:
         lines.append(f"reason: {cert.reason}" + (f" (k={cert.k})" if cert.k else ""))
@@ -236,7 +233,7 @@ def _describe_certificate(cert) -> list[str]:
         lines.append("witnesses: " + ", ".join(_rat(w) for w in cert.witnesses))
     if cert.factorization is not None:
         lines.append("factorization: " + _describe_factorization(cert.factorization))
-    return lines
+    return EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE, cert.to_json_obj(), lines
 
 
 def _cmd_kronecker(args):
@@ -247,9 +244,7 @@ def _cmd_kronecker(args):
     if args.action == "factor":
         fac = kronecker.factor_kronecker(f)
         return EXIT_OK, fac.to_json_obj(), [_describe_factorization(fac)]
-    cert = kronecker.certify(f)
-    code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
-    return code, cert.to_json_obj(), _describe_certificate(cert)
+    return _certificate_result(kronecker.certify(f))
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -284,11 +279,8 @@ def _cmd_semigroup(args):
         return EXIT_OK, {"coeffs": list(P.coeffs)}, [polyring.format_poly(P)]
     # P_S has degree F + 1
     _check_certify_degree(S.frobenius + 1)
-    cert = semigroup.is_cyclotomic(S)
-    code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
-    lines = ["cyclotomic" if cert.is_kronecker else "not cyclotomic"]
-    lines += _describe_certificate(cert)
-    return code, cert.to_json_obj(), lines
+    code, payload, lines = _certificate_result(semigroup.is_cyclotomic(S))
+    return code, payload, ["cyclotomic" if code == EXIT_OK else "not cyclotomic"] + lines
 
 
 def _cmd_fk(args):
@@ -301,9 +293,7 @@ def _cmd_fk(args):
         text = " * ".join(f"Phi_{d}" for d in pattern) if pattern else "1"
         return EXIT_OK, {"k": args.k, "gcd": list(pattern)}, [text]
     if args.action == "certify":
-        cert = kronecker.certify(semigroup.fk_poly(args.k))
-        code = EXIT_OK if cert.is_kronecker else EXIT_NEGATIVE
-        return code, cert.to_json_obj(), _describe_certificate(cert)
+        return _certificate_result(kronecker.certify(semigroup.fk_poly(args.k)))
     import json
 
     rows = semigroup.fk_theorem_sweep(args.max)

@@ -113,12 +113,17 @@ def partitions_into_parts(k: int, parts: Sequence[int]) -> Iterator[dict[int, in
     return rec(k, 0)
 
 
-def _over_common_denominator(xs: Sequence[Rational]) -> tuple[int, list[int]]:
-    # d and the integers z_i = d^i x_i for a common denominator d of the x_i;
-    # a Bell polynomial of weight k is homogeneous, B(z) = d^k B(x)
-    xs = [Fraction(x) for x in xs]
+def over_common_denominator(xs: Sequence[Rational]) -> tuple[int, list[int]]:
+    """The least common denominator d of the xs and the integers d * x_i."""
     d = lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) * d ** i for i, x in enumerate(xs)]
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _bell_arguments(xs: Sequence[Rational]) -> tuple[int, list[int]]:
+    # d and the integers z_i = d^i x_i for the common denominator d of the
+    # x_i; a Bell polynomial of weight k is homogeneous, B(z) = d^k B(x)
+    d, nums = over_common_denominator(xs)
+    return d, [z * d ** i for i, z in enumerate(nums)]
 
 
 def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
@@ -134,7 +139,7 @@ def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
     if len(xs) < k - j + 1:
         raise InputError(f"need at least {k - j + 1} arguments, got {len(xs)}")
     top = k - j
-    d, zs = _over_common_denominator(xs[:top + 1])
+    d, zs = _bell_arguments(xs[:top + 1])
     # row[t] = B_{t+level, level}, which needs z_1, ..., z_(t+1); B_{t+1,1} is
     # z_(t+1), and the terms C(n, i) z_(i+1) of n = t + level - 1 serve every
     # level that reaches that n
@@ -176,6 +181,6 @@ def exp_transform(logderivs: Sequence[Rational], base: Rational) -> list[Fractio
     """
     if base == 0:
         raise DomainError("exp_transform needs a nonzero base value")
-    d, zs = _over_common_denominator(logderivs)
+    d, zs = _bell_arguments(logderivs)
     base = Fraction(base)
     return [base * Fraction(z, d ** k) for k, z in enumerate(_bell_row(len(zs), zs)[1:], 1)]

@@ -17,13 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
-from .combinat import bernoulli_plus, exp_transform, stirling_first
+from .combinat import bernoulli_plus, exp_transform, over_common_denominator, stirling_first
 from .errors import DomainError, InputError, PoleError
-from .numtheory import dedekind_psi, euler_phi, jordan_totient, n_alpha, ramanujan_sum
-from .polyring import IntPoly, cyclotomic, phi_value_at_one
+from .numtheory import dedekind_psi, euler_phi, jordan_totient, n_alpha, prime_power_value, ramanujan_sum
+from .polyring import IntPoly
 
 
 class CTable(namedtuple("CTable", "k nums den")):
@@ -48,13 +48,8 @@ def c_table(k: int) -> CTable:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     tail = [bernoulli_plus(j) * stirling_first(k, j) / j for j in range(1, k + 1)]
-    den = lcm(*(c.denominator for c in tail))
-    nums = [c.numerator * (den // c.denominator) for c in tail]
+    den, nums = over_common_denominator(tail)
     return CTable(k, (-sum(nums),) + tuple(nums), den)
-
-
-def c_coefficient(k: int, j: int) -> Fraction:
-    return c_table(k).entries[j]
 
 
 def sigma_k(k: int, n: int) -> Fraction:
@@ -123,7 +118,7 @@ def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
     """(Phi_n(1), Phi_n'(1), ..., Phi_n^(K)(1)) via the Bell transform."""
     if n < 2:
         raise DomainError("need n >= 2")
-    return _phi_derivs(phi_value_at_one(n), n, 1, K)
+    return _phi_derivs(prime_power_value(n), n, 1, K)
 
 
 # The order recurrence this name once ran is the one exp_transform runs now,
@@ -134,12 +129,15 @@ phi_derivs_at_one_recurrence = phi_derivs_at_one
 def phi_derivs_at_minus_one(n: int, K: int) -> list[Fraction]:
     """(Phi_n(-1), ..., Phi_n^(K)(-1)) via the Bell transform, n != 2.
 
-    For n = 1 the base Phi_1(-1) = -2 is negative; the transform still applies
-    because the logarithmic derivatives of -Phi_1 and Phi_1 coincide.
+    The base is Phi_n(-1) = Phi_(n alpha_n)(1) = exp(Lambda(n alpha_n)) for
+    n > 2, read with no polynomial built.  For n = 1 the base Phi_1(-1) = -2
+    is negative; the transform still applies because the logarithmic
+    derivatives of -Phi_1 and Phi_1 coincide.
     """
     if n == 2:
         raise PoleError("Phi_2(-1) = 0")
-    return _phi_derivs(cyclotomic(n)(-1), n_alpha(n), -1, K)
+    m = n_alpha(n)
+    return _phi_derivs(-2 if n == 1 else prime_power_value(m), m, -1, K)
 
 
 def schwarzian_phi_at_one(n: int) -> Fraction:
@@ -189,9 +187,6 @@ def log_deriv_inverse_cyclo_at_minus_one(n: int, k: int) -> Fraction:
         raise InputError("need odd n >= 3")
     if k < 1:
         raise InputError("order k must be >= 1")
-    row = c_table(k)
-    s = sum(
-        row.nums[j] * (2 ** j - 1) * (n ** j - jordan_totient(j, n)) for j in range(1, k + 1)
-    )
-    return (-1) ** k * Fraction(s, row.den)
+    js = [(2 ** j - 1) * (n ** j - jordan_totient(j, n)) for j in range(1, k + 1)]
+    return _jordan_sum(k, js, -1)
 

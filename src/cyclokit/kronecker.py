@@ -35,14 +35,13 @@ re-running the search.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .combinat import bernoulli_plus, stirling_second
+from .combinat import bernoulli_plus, over_common_denominator, stirling_second
 from .errors import InputError, InvariantError, PoleError, rat_str
 from .numtheory import (
     euler_phi,
@@ -179,7 +178,9 @@ def _candidate_table(max_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+# one entry per candidate d: factor_kronecker screens 10 665 at degree 5500,
+# the CLI's CERTIFY_DEGREE_LIMIT, so a second call there finds them all cached
+@lru_cache(maxsize=2 ** 14)
 def _screen_values(d: int) -> tuple[int, int]:
     return cyclotomic_value(d, 2), cyclotomic_value(d, 3)
 
@@ -228,20 +229,12 @@ def sign_tests(f: IntPoly) -> Certificate | None:
         raise InputError("sign_tests requires a monic polynomial")
     v1 = f(1)
     if v1 < 0:
-        return Certificate(
-            VERDICT_NON_KRONECKER,
-            REASON_NEGATIVE_AT_ONE,
-            witnesses=(Fraction(1), Fraction(v1)),
-        )
+        return _sign_certificate(REASON_NEGATIVE_AT_ONE, 1, v1)
     if f(0) == 0 or v1 == 0:
         return None
     vm1 = f(-1)
     if vm1 < 0:
-        return Certificate(
-            VERDICT_NON_KRONECKER,
-            REASON_NEGATIVE_AT_MINUS_ONE,
-            witnesses=(Fraction(-1), Fraction(vm1)),
-        )
+        return _sign_certificate(REASON_NEGATIVE_AT_MINUS_ONE, -1, vm1)
     if vm1 == 0:
         return None
     bound = min(3, 1 + max(abs(c) for c in f.coeffs))
@@ -250,12 +243,12 @@ def sign_tests(f: IntPoly) -> Certificate | None:
             continue
         vx = f(x)
         if vx <= 0:
-            return Certificate(
-                VERDICT_NON_KRONECKER,
-                REASON_NEGATIVE_AT_POINT,
-                witnesses=(Fraction(x), Fraction(vx)),
-            )
+            return _sign_certificate(REASON_NEGATIVE_AT_POINT, x, vx)
     return None
+
+
+def _sign_certificate(reason: str, x: int, value: int) -> Certificate:
+    return Certificate(VERDICT_NON_KRONECKER, reason, witnesses=(Fraction(x), Fraction(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +257,8 @@ def sign_tests(f: IntPoly) -> Certificate | None:
 def _stirling_sum_from_values(vals: list[Fraction], k: int, point: int) -> Fraction:
     # sum_{j <= k} point^j {k, j} vals[j - 1], over the common denominator of
     # the first k values, so the sum itself runs in integers
-    vals = vals[:k]
-    den = lcm(*(v.denominator for v in vals))
-    num = sum(
-        point ** j * stirling_second(k, j) * v.numerator * (den // v.denominator)
-        for j, v in enumerate(vals, 1)
-    )
+    den, nums = over_common_denominator(vals[:k])
+    num = sum(point ** j * stirling_second(k, j) * z for j, z in enumerate(nums, 1))
     return Fraction(num, den)
 
 
@@ -368,7 +357,6 @@ def excluded_set(f: IntPoly, factors: dict[int, int]) -> ExcludedIndices:
     divides f.
     """
     primes = primes_up_to(f.degree + 1)
-    primes = primes[: bisect_right(primes, f.degree + 1)]
     handled = []
     skipped = []
     for m in (1, 2, 3, 4, 6):
@@ -393,8 +381,7 @@ def _ratio_table(k: int, limit: int) -> tuple[tuple[int, int], ...]:
     # with psi_k(p^e) = p^((k-1)(e-1)) (p^k - 1)/(p - 1), so one pass over the
     # multiples of each prime power p^e <= limit builds every value
     psi = [1] * (limit + 1)
-    primes = primes_up_to(limit)
-    for p in primes[: bisect_right(primes, limit)]:
+    for p in primes_up_to(limit):
         step = (p ** k - 1) // (p - 1)
         q = p
         while q <= limit:

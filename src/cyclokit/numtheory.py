@@ -5,16 +5,18 @@ plain trial division against a shared prime sieve that grows only as far as
 the cofactor left to split needs, and never past PRIME_SIEVE_LIMIT = L: a
 cofactor of at least (L + 1)^2 with no prime factor up to L is refused with
 ResourceError, so every n below (L + 1)^2 (about 4.4 * 10^12), and any n
-whose cofactor falls below that square, factors exactly.  All functions
-memoize, and the caches only ever grow, so concurrent readers are safe under
-the GIL.
+whose cofactor falls below that square, factors exactly.  Every function
+memoizes except alpha, n_alpha, is_prime_power and radical, which are cheap
+given the cached factorization; the caches and the shared prime and totient
+lists only ever grow, so concurrent readers are safe under the GIL.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InputError, check_guardrail
 
@@ -26,7 +28,7 @@ _prime_limit = 13
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit (shared list; treat as read-only).
+    """Exactly the primes <= limit, ascending: a fresh slice of the shared list.
 
     Raises ResourceError for a limit above PRIME_SIEVE_LIMIT.
     """
@@ -41,7 +43,7 @@ def primes_up_to(limit: int) -> list[int]:
                 sieve[p * p :: p] = b"\x00" * len(range(p * p, new_limit + 1, p))
         _prime_list = [i for i in range(new_limit + 1) if sieve[i]]
         _prime_limit = new_limit
-    return _prime_list
+    return _prime_list[: bisect_right(_prime_list, limit)]
 
 
 def _ascending_primes():
@@ -141,6 +143,11 @@ def prime_power_value(n: int) -> int:
 
 def is_prime_power(n: int) -> bool:
     return n > 1 and prime_power_value(n) > 1
+
+
+def radical(n: int) -> int:
+    """rad(n), the product of the distinct primes dividing n; rad(1) = 1."""
+    return prod(p for p, _ in factorize(n))
 
 
 @lru_cache(maxsize=None)

@@ -223,6 +223,10 @@ def test_phi_derivs_at_minus_one():
         phi = nt.euler_phi(n)
         psi_alpha = nt.dedekind_psi(nt.n_alpha(n))
         assert d[2] == d[0] * Fraction(phi, 4) * (phi + Fraction(psi_alpha, 3) - 2)
+    # the base value is read off exp(Lambda(n alpha_n)) with no polynomial
+    # built; the polynomial evaluated at -1 is its oracle
+    for n in [1] + list(range(3, 2001)):
+        assert cd.phi_derivs_at_minus_one(n, 0)[0] == pr.cyclotomic(n)(-1), n
 
 
 def test_schwarzian():

@@ -78,6 +78,10 @@ LADDERS = [
      _doubling(1, 2 ** 20), "DEGREE_GUARDRAIL"),
     ("coefficient size", lambda v: ["logderiv", "poly", "--poly", "x+" + "9" * v, "--at", "1", "--order", "1"],
      _doubling(1, 2 ** 13), DIGITS),
+    # (order + 1) Taylor passes over 10^6 coefficients, which the printed-size
+    # estimate, 0 at the point 1, does not bound
+    ("order", lambda v: ["logderiv", "poly", "--poly", "x^999999+1", "--at", "1", "--order", str(v)],
+     _doubling(8, 16), "TAYLOR_WORK_LIMIT"),
     ("N", lambda v: ["schwarzian", str(v)], _doubling(2, UNBOUNDED), None),
     ("degree", lambda v: ["kronecker", "factor", "--poly", f"x^{v}"], _doubling(1, 2 ** 13), "CERTIFY_DEGREE_LIMIT"),
     ("degree", lambda v: ["kronecker", "certify", "--poly", f"x^{v}"], _doubling(1, 2 ** 13), "CERTIFY_DEGREE_LIMIT"),

@@ -35,6 +35,28 @@ def test_prime_power_value():
     assert nt.prime_power_value(49) == 7
 
 
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_radical_is_the_product_of_the_distinct_prime_divisors():
+    for n in range(1, 500):
+        assert nt.radical(n) == math.prod(p for p in range(2, n + 1) if n % p == 0 and _is_prime(p))
+
+
+def test_primes_up_to_returns_exactly_the_primes_up_to_its_limit():
+    # once the shared list has grown past the limit, the answer must still
+    # stop at the limit
+    nt.primes_up_to(1000)
+    assert nt.primes_up_to(10) == [2, 3, 5, 7]
+    oracle = [p for p in range(1001) if _is_prime(p)]
+    for limit in range(1001):
+        assert nt.primes_up_to(limit) == [p for p in oracle if p <= limit]
+    # each answer is a fresh list, so a caller may change it
+    nt.primes_up_to(10).clear()
+    assert nt.primes_up_to(10) == [2, 3, 5, 7]
+
+
 def test_jordan_totient_values():
     assert nt.jordan_totient(2, 6) == 24
     for k in range(1, 6):
