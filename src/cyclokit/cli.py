@@ -73,10 +73,11 @@ def _cmd_phi(args):
 
     f = polyring.cyclotomic(args.n)
     if args.dump_coeffs:
-        with open(args.dump_coeffs, "w") as fh:
-            fh.write("index,coefficient\n")
-            for i, c in enumerate(f.coeffs):
-                fh.write(f"{i},{c}\n")
+        try:
+            with open(args.dump_coeffs, "w") as fh:
+                fh.write("index,coefficient\n" + "".join(f"{i},{c}\n" for i, c in enumerate(f.coeffs)))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dump_coeffs!r}: {exc}") from None
     text = polyring.format_poly_csv(f) if args.coeffs else polyring.format_poly(f)
     payload = {"n": args.n, "degree": f.degree, "coeffs": list(f.coeffs)}
     return EXIT_OK, payload, [text]
@@ -185,12 +186,6 @@ def _cmd_logderiv(args):
             f = polyring.cyclotomic(args.n)
         else:
             f = polyring.inverse_cyclotomic(args.n)
-        # at x = p/q the value has about k (deg f log2 max(|p|, q) + log2 max|f_i|)
-        # bits; refused before the first Taylor pass when they cannot be printed
-        point = max(abs(at.numerator), at.denominator).bit_length() - 1
-        height = max(map(abs, f.coeffs), default=1).bit_length() - 1
-        digits = k * (f.degree * point + height) * 30103 // 100000
-        check_printable("the value's estimated digit count", digits)
         value = polyring.log_derivative_oracle(f, k, at)
         if closed is not None and value != closed:
             raise InvariantError(

@@ -22,7 +22,6 @@ from .errors import InputError, InvariantError, check_guardrail
 from .numtheory import euler_phi, mobius, ramanujan_sum
 from .polyring import cyclotomic
 
-TAYLOR_FROM_ONE_CAP = 64
 # largest k coeff_moller takes: its partition walk grows like the partition
 # count of k, and at k = 64 the slowest n found in a random search over
 # products of primes <= 61 took 0.33 s (Python 3.11, 2 vCPU), against about
@@ -87,9 +86,10 @@ def coeff_prefix_recurrence(n: int, K: int) -> list[int]:
     if n < 2 or K < 0:
         raise InputError("need n >= 2 and K >= 0")
     check_table_index(K)
+    r = [ramanujan_sum(k, n) for k in range(K + 1)]
     out = [1]
     for k in range(1, K + 1):
-        s = sum(out[j] * ramanujan_sum(k - j, n) for j in range(k))
+        s = sum(out[j] * r[k - j] for j in range(k))
         if s % k:
             raise InvariantError(f"recurrence step not divisible: n={n}, k={k}")
         out.append(-s // k)
@@ -113,19 +113,17 @@ def coeff_taylor_from_one(n: int, k: int) -> int:
     """a_n(k) by re-expanding the Taylor series of Phi_n around 1.
 
     a_n(k) = (1/k!) sum_{t=k}^{phi(n)} (-1)^(t-k) Phi_n^(t)(1) / (t-k)!,
-    with the derivatives at 1 taken from the Bell-transform closed form.
-    Expensive; refuses phi(n) above TAYLOR_FROM_ONE_CAP.
+    with the derivatives at 1 from the Bell-transform closed form, whose rows
+    run to phi(n): refuses phi(n) above TABLE_INDEX_LIMIT before building any.
     """
     if n < 2 or k < 0:
         raise InputError("need n >= 2 and k >= 0")
     d = euler_phi(n)
-    check_guardrail(f"degree phi({n}) =", d, "TAYLOR_FROM_ONE_CAP", TAYLOR_FROM_ONE_CAP)
+    check_table_index(d)
     if k > d:
         raise InputError(f"k must be at most phi(n) = {d}")
     derivs = phi_derivs_at_one(n, d)
-    total = sum(
-        Fraction((-1) ** (t - k), factorial(t - k)) * derivs[t] for t in range(k, d + 1)
-    )
+    total = sum(Fraction((-1) ** (t - k), factorial(t - k)) * derivs[t] for t in range(k, d + 1))
     val = total / factorial(k)
     if val.denominator != 1:
         raise InvariantError(f"Taylor re-expansion not integral: n={n}, k={k}")

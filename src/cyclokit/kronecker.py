@@ -24,12 +24,12 @@ non-Kronecker certificates follow: sign tests at a few small integers on the
 real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
 sums, and the even-order Jordan-totient lower bounds refined through
 root-of-unity exclusions and the multiplicities the factorization found.
-The Stirling stages all read one row (log f)^(j)(+-1), j <= 5, per point:
-the values of order k are its first k entries, summed in integers over their
-common denominator.  The bounds need the least ratio J_k(j)/phi(j) over the
-indices j outside the exclusions and the indices of the three least ratios;
-both are read off one walk over the indices in ascending ratio order.  Every
-certificate carries the witness values needed to recheck it without
+The Stirling stages all read one row (log f)^(j)(+-1), j <= LOG_ROW_ORDER,
+per point: the values of order k are its first k entries, summed in integers
+over their common denominator.  The bounds need the least ratio J_k(j)/phi(j)
+over the indices j outside the exclusions and the indices of the three least
+ratios; both are read off one walk over the indices in ascending ratio order.
+Every certificate carries the witness values needed to recheck it without
 re-running the search.
 """
 
@@ -267,10 +267,10 @@ LogRows = dict[int, list[Fraction] | None]
 
 
 def log_rows(f: IntPoly) -> LogRows:
-    """{1: row, -1: row} with row = ((log f)'(x), ..., (log f)^(5)(x)) at that
-    point, or None where f vanishes.
+    """{1: row, -1: row} with row = ((log f)'(x), ..., (log f)^(K)(x)) at that
+    point for K = LOG_ROW_ORDER, or None where f vanishes.
 
-    Every Stirling stage of certify (orders 2..5) reads these two rows: the
+    Every Stirling stage of certify (orders 2..K) reads these two rows: the
     values of order k are the first k entries of a row.
     """
     rows: LogRows = {}
@@ -507,10 +507,10 @@ def certify(f: IntPoly) -> Certificate:
 
     Pipeline: the complete trial-division factorization comes first, checked
     coefficient by coefficient against f; then, on f with its monomial part
-    stripped, sign tests, odd-order identity checks (k = 3, 5), and
-    root-of-unity exclusions feeding the refined even-order bound (k = 2, 4),
-    whose exact multiplicities for the low-ratio indices are read off the
-    factorization.  The factorization decides and is attached to every
+    stripped, sign tests, odd-order identity checks (odd 3 <= k <= LOG_ROW_ORDER),
+    and root-of-unity exclusions feeding the refined even-order bound (even
+    2 <= k <= LOG_ROW_ORDER), whose exact multiplicities for the low-ratio
+    indices are read off the factorization.  The factorization decides and is attached to every
     certificate; an analytic certificate firing on a polynomial whose
     remainder is trivial is an invariant violation (the checks are sound), as
     is a factorization that fails to reconstruct its input.
@@ -528,7 +528,7 @@ def certify(f: IntPoly) -> Certificate:
         cert.details["monomial_exponent_stripped"] = e0
     if cert is None and g.degree >= 1:
         logs = log_rows(g)
-        for k in (3, 5):
+        for k in range(3, LOG_ROW_ORDER + 1, 2):
             cert = odd_identity_check(logs, k)
             if cert is not None:
                 break
@@ -536,7 +536,7 @@ def certify(f: IntPoly) -> Certificate:
             # Phi_d is coprime to x, so its multiplicity in g is e_d of f
             C = excluded_set(g, factorization.factors)
             known = {d: factorization.factors.get(d, 0) for d in _small_low_ratio_indices(2, C)}
-            for k in (2, 4):
+            for k in range(2, LOG_ROW_ORDER + 1, 2):
                 cert = even_bound_check(logs, k, g.degree, C, known)
                 if cert is not None:
                     break

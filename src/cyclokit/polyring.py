@@ -17,7 +17,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import factorial
+from operator import mul
 
 from .errors import InputError, PoleError, check_guardrail, check_printable, int_str
 from .numtheory import divisors, euler_phi, mobius, radical
@@ -294,10 +296,9 @@ def coxeter_poly(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-# largest Taylor work, passes times coefficients, of log_derivative_values at a
-# nonzero point; at this limit logderiv poly at 1 of x^999999 + 1 to order 15 and
-# x^41836 + 1 to order 400 take 1.0 and 1.3 s cold (Python 3.11, 2 vCPU)
-TAYLOR_WORK_LIMIT = 2 ** 24
+# largest estimated machine-word operations of log_derivative_values; at this limit
+# the slowest shape of a grid over degree, height, x and K took 1.2 s cold (2 vCPU)
+TAYLOR_WORK_LIMIT = 2 ** 26
 
 
 def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fraction]:
@@ -314,19 +315,32 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     s^(j-1) of H(s) = sum c_j s^j then follows from j c_j = sum_{t<j} c_t
     b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  This uses only the
     coefficients of f, so it is the independent oracle that every
-    closed-form identity is tested against; O(K deg f) work, refused with
-    ResourceError above TAYLOR_WORK_LIMIT before the first pass.
+    closed-form identity is tested against.  Its estimated work is refused
+    with ResourceError above TAYLOR_WORK_LIMIT before the first pass, at any x.
     """
     if K < 1:
         return []
-    r = Fraction(x)
-    p, q = r.numerator, r.denominator
+    p, q = Fraction(x).as_integer_ratio()
+    # the work at schoolbook cost: L coefficients of up to B = log2 max|f_i| + deg
+    # log2 max(|p|, q) bits once scaled by q^i (one more pass, height/64 operations
+    # a word), growing log2 L bits a pass, L + P in all; then per order j, m products
+    # c_t c_0^(t-1) n_(j-t) and a reduction, with n_j <= deg (j-1)! q^j (|c_0|/rho)^j,
+    # rho the root distance, and |c_0|/rho <= 2 max c_t, 2^(2 B + 3 log2 L + 1) (Fujiwara)
+    L = len(f.coeffs)
+    lg = (max(abs(p), q) - 1).bit_length()
+    height = max(map(abs, f.coeffs), default=0).bit_length()
+    bits = height + (L - 1) * lg
+    passes = min(K + 1, L) if p else 0
+    taylor_bits = bits + min(passes * L.bit_length(), L + passes)
+    value_bits = min(taylor_bits, 2 * bits + 3 * L.bit_length()) + K.bit_length() + lg + 1
+    m = min(K, L - 1)
+    steps = passes * L + (L * (height // 64 + 1) if q > 1 else 0)
+    work = steps * (taylor_bits // 64 + 1) + K * (K * value_bits // 64 + 1) ** 2
+    work += K * K * m * value_bits * (2 * taylor_bits + m * (bits + L.bit_length())) // 2 ** 14
+    check_guardrail("estimated machine-word operations", work, "TAYLOR_WORK_LIMIT", TAYLOR_WORK_LIMIT)
     h = list(reversed(f.coeffs))  # descending
-    if p:
-        work = min(K + 1, len(h)) * len(h)
-        check_guardrail("Taylor passes times coefficients =", work, "TAYLOR_WORK_LIMIT", TAYLOR_WORK_LIMIT)
     if q != 1:
-        h = [c * q ** i for i, c in enumerate(h)]
+        h = list(map(mul, h, accumulate(repeat(q, len(h) - 1), mul, initial=1)))
     flip = p == -1 and q == 1
     if flip:
         odd = slice(len(h) % 2, None, 2)  # the odd degrees
@@ -347,18 +361,11 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     # integer numerators: b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t)
     # and e_t = c_t c_0^(t-1), where e_t = 0 beyond the degree
     c0 = taylor[0]
-    e = [0] + [c * c0 ** (t - 1) for t, c in enumerate(taylor[1:], 1)]
-    m = len(e) - 1
+    e = [0] + [c * c0 ** (t - 1) for t, c in enumerate(taylor[1:], 1)] + [0] * (K - m)
     nums = [0]
-    vals = []
-    fact = 1
     for j in range(1, K + 1):
-        n_j = j * e[j] if j <= m else 0
-        n_j -= sum(e[t] * nums[j - t] for t in range(1, min(j, m + 1)))
-        nums.append(n_j)
-        vals.append(Fraction(fact * n_j * q ** j, c0 ** j))
-        fact *= j
-    return vals
+        nums.append(j * e[j] - sum(e[t] * nums[j - t] for t in range(1, min(j, m + 1))))
+    return [Fraction(factorial(j - 1) * n * q ** j, c0 ** j) for j, n in enumerate(nums[1:], 1)]
 
 
 def log_derivative_oracle(f: IntPoly, k: int, x: Fraction | int) -> Fraction:

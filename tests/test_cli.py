@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 
@@ -35,6 +36,17 @@ def test_phi_dump_coeffs(tmp_path, capsys):
     assert lines[1] == "0,1"
     assert lines[8] == "7,-2"
     assert len(lines) == 50  # header + 49 coefficients
+
+
+def test_phi_dump_coeffs_unwritable_exits_2(tmp_path, capsys):
+    # a directory, a file in a missing directory, and a full device
+    targets = [tmp_path, tmp_path / "missing" / "c.csv"]
+    if os.path.exists("/dev/full"):
+        targets.append("/dev/full")
+    for target in targets:
+        code, out, err = run(capsys, "phi", "105", "--dump-coeffs", str(target))
+        assert (code, out) == (2, ""), target
+        assert err.startswith(f"error: cannot write {str(target)!r}: ") and "Traceback" not in err
 
 
 def test_phi_guardrail(capsys):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cyclokit import cyclocoeffs as cc
+from cyclokit import cycloderiv
 from cyclokit import numtheory as nt
 from cyclokit.errors import InputError, ResourceError
 from test_combinat import partitions
@@ -93,8 +95,10 @@ def test_coeff_taylor_from_one():
     assert cc.coeff_taylor_from_one(5, 2) == 1
     assert cc.coeff_taylor_from_one(6, 1) == -1
     assert cc.coeff_taylor_from_one(12, 2) == -1
-    with pytest.raises(ResourceError):
-        cc.coeff_taylor_from_one(211, 1)  # phi = 210 over TAYLOR_FROM_ONE_CAP
+    rows = cycloderiv.c_table.cache_info().currsize
+    with pytest.raises(ResourceError, match="guardrail TABLE_INDEX_LIMIT = 400"):
+        cc.coeff_taylor_from_one(409, 1)  # phi = 408, refused before any c-table row
+    assert cycloderiv.c_table.cache_info().currsize == rows
     with pytest.raises(InputError):
         cc.coeff_taylor_from_one(5, 5)
 
@@ -114,6 +118,15 @@ def test_taylor_from_one_agreement_small():
     for n in range(2, 26):
         for k in range(0, min(nt.euler_phi(n), 8) + 1):
             assert cc.coeff_taylor_from_one(n, k) == cc.coeff_direct(n, k)
+
+
+def test_taylor_from_one_agreement_up_to_the_table_index_limit():
+    # phi(n) from 65 up to TABLE_INDEX_LIMIT
+    rng = random.Random(2401)
+    ns = [n for n in range(67, 1300) if 65 <= nt.euler_phi(n) <= 400]
+    for n in rng.sample(ns, 2) + [401]:
+        k = rng.randrange(nt.euler_phi(n) + 1)
+        assert cc.coeff_taylor_from_one(n, k) == cc.coeff_direct(n, k), (n, k)
 
 
 def test_lehmer_partition_form():

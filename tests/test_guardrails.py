@@ -51,7 +51,8 @@ LADDERS = [
     ("N", lambda v: ["phi", str(v)], _doubling(1, 2 ** 21), "DEGREE_GUARDRAIL"),
     ("N", lambda v: ["coeff", str(v), "0"], _doubling(1, 2 ** 21), "DEGREE_GUARDRAIL"),
     ("N", lambda v: ["coeff", str(v), "0", "--method", "all"], _doubling(2, 2 ** 21), "DEGREE_GUARDRAIL"),
-    ("N", lambda v: ["coeff", str(v), "0", "--method", "taylor1"], _doubling(2, 2 ** 8), "TAYLOR_FROM_ONE_CAP"),
+    # taylor1 reads c-table and Bell rows up to phi(N)
+    ("N", lambda v: ["coeff", str(v), "0", "--method", "taylor1"], _doubling(2, 2 ** 10), "TABLE_INDEX_LIMIT"),
     ("K", lambda v: ["coeff", "1", str(v)], _doubling(1, UNBOUNDED), None),
     ("K", lambda v: ["coeff", "1", str(v), "--method", "moller"], _doubling(1, 2 ** 7), "MOLLER_K_CAP"),
     ("K", lambda v: ["coeff", "2", str(v), "--method", "recurrence"], _doubling(1, 2 ** 9), "TABLE_INDEX_LIMIT"),
@@ -71,17 +72,19 @@ LADDERS = [
     ("order", lambda v: ["logderiv", "poly", "--poly", "x", "--at", "1", "--order", str(v)],
      _doubling(1, 2 ** 9), "TABLE_INDEX_LIMIT"),
     ("order", lambda v: ["logderiv", "phi", "2", "--at", "0", "--order", str(v)], _doubling(1, 2 ** 9), "TABLE_INDEX_LIMIT"),
-    # at 2 the value of Phi_N or Psi_N has about deg bits
+    # at 2 the value of Phi_N or Psi_N has about deg bits, refused when printed
     ("N", lambda v: ["logderiv", "phi", str(v), "--at", "2", "--order", "1"], _doubling(1, 2 ** 15), DIGITS),
     ("N", lambda v: ["logderiv", "invphi", str(v), "--at", "2", "--order", "1"], _doubling(1, 2 ** 15), DIGITS),
     ("degree", lambda v: ["logderiv", "poly", "--poly", f"x^{v}", "--at", "1", "--order", "1"],
      _doubling(1, 2 ** 20), "DEGREE_GUARDRAIL"),
     ("coefficient size", lambda v: ["logderiv", "poly", "--poly", "x+" + "9" * v, "--at", "1", "--order", "1"],
      _doubling(1, 2 ** 13), DIGITS),
-    # (order + 1) Taylor passes over 10^6 coefficients, which the printed-size
-    # estimate, 0 at the point 1, does not bound
+    # (order + 1) Taylor passes over 10^6 coefficients that grow by about 20
+    # bits a pass, and two passes over 10^6 coefficients of 14k bits
     ("order", lambda v: ["logderiv", "poly", "--poly", "x^999999+1", "--at", "1", "--order", str(v)],
      _doubling(8, 16), "TAYLOR_WORK_LIMIT"),
+    ("coefficient size", lambda v: ["logderiv", "poly", "--poly", "9" * v + "*x^999999+1", "--at", "1", "--order", "1"],
+     [4299], "TAYLOR_WORK_LIMIT"),
     ("N", lambda v: ["schwarzian", str(v)], _doubling(2, UNBOUNDED), None),
     ("degree", lambda v: ["kronecker", "factor", "--poly", f"x^{v}"], _doubling(1, 2 ** 13), "CERTIFY_DEGREE_LIMIT"),
     ("degree", lambda v: ["kronecker", "certify", "--poly", f"x^{v}"], _doubling(1, 2 ** 13), "CERTIFY_DEGREE_LIMIT"),

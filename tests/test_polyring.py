@@ -179,6 +179,23 @@ def test_log_derivative_oracle():
         pr.log_derivative_oracle(IntPoly((-1, 1)), 1, 1)
 
 
+def test_log_derivative_values_refuses_costly_work_before_any_pass(monkeypatch):
+    # a pass at 2 over 10^6 coefficients that grow to 10^6 bits, 10^5 orders at
+    # 1 whose values grow to about 10^5 log2 10^5 bits, and 400 orders at 0 of
+    # values with denominators of up to 400 * 13288 bits
+    def no_pass(coeffs):
+        raise AssertionError("the descending copy was made")
+
+    monkeypatch.setattr(pr, "reversed", no_pass, raising=False)
+    for f, K, x in (
+        (IntPoly.monomial(1, 999999) + 1, 10, 2),
+        (IntPoly((2, 1)), 10 ** 5, 1),
+        (IntPoly((10 ** 4000, 1)), 400, 0),
+    ):
+        with pytest.raises(ResourceError, match=rf"guardrail TAYLOR_WORK_LIMIT = {pr.TAYLOR_WORK_LIMIT}$"):
+            pr.log_derivative_values(f, K, x)
+
+
 def test_log_derivative_values_match_series_shift():
     # against an independent check: derivatives of f'/f computed by explicit
     # high-order quotient-rule values on shifted Taylor coefficients
