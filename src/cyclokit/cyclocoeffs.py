@@ -19,7 +19,7 @@ from math import factorial
 from .combinat import bell_complete, check_table_index
 from .cycloderiv import phi_derivs_at_one
 from .errors import InputError, InvariantError, check_guardrail
-from .numtheory import euler_phi, mobius, ramanujan_sum
+from .numtheory import euler_phi, mobius_divisors, ramanujan_sum
 from .polyring import cyclotomic
 
 # largest k coeff_moller takes: its partition walk grows like the partition
@@ -35,11 +35,6 @@ def coeff_direct(n: int, k: int) -> int:
         raise InputError("need n >= 1 and k >= 0")
     coeffs = cyclotomic(n).coeffs
     return coeffs[k] if k < len(coeffs) else 0
-
-
-def _mu_at(n: int, j: int) -> int:
-    # mu(n/j) with the convention mu(t) = 0 when t is not an integer
-    return mobius(n // j) if n % j == 0 else 0
 
 
 def coeff_moller(n: int, k: int) -> int:
@@ -59,8 +54,8 @@ def coeff_moller(n: int, k: int) -> int:
     sign = -1 if n == 1 else 1
     if k == 0:
         return sign
-    # distinct parts, largest first, with mu(n/j) = +1 or -1
-    parts = [(j, mu) for j in range(k, 0, -1) if (mu := _mu_at(n, j))]
+    # the parts j <= k with mu(n/j) = +1 or -1, largest first
+    parts = [(j, mu) for j, mu in reversed(mobius_divisors(n)) if j <= k]
     last = len(parts) - 1
 
     def signed_count(rem: int, i: int) -> int:

@@ -45,7 +45,6 @@ from .combinat import bernoulli_plus, over_common_denominator, stirling_second
 from .errors import InputError, InvariantError, PoleError, rat_str
 from .numtheory import (
     euler_phi,
-    is_prime_power,
     jordan_totient,
     prime_power_value,
     primes_up_to,
@@ -330,10 +329,9 @@ class ExcludedIndices:
         if d == 1 or d in self.extra:
             return True
         for m, allowed in self.allowed_primes:
-            if d % m == 0:
-                t = d // m
-                if t > 1 and is_prime_power(t) and prime_power_value(t) not in allowed:
-                    return True
+            # d = m q^j for the prime q = prime_power_value(d / m) > 1
+            if d % m == 0 and (q := prime_power_value(d // m)) > 1 and q not in allowed:
+                return True
         return False
 
     def describe(self) -> dict:

@@ -5,10 +5,10 @@ plain trial division against a shared prime sieve that grows only as far as
 the cofactor left to split needs, and never past PRIME_SIEVE_LIMIT = L: a
 cofactor of at least (L + 1)^2 with no prime factor up to L is refused with
 ResourceError, so every n below (L + 1)^2 (about 4.4 * 10^12), and any n
-whose cofactor falls below that square, factors exactly.  Every function
-memoizes except alpha, n_alpha, is_prime_power and radical, which are cheap
-given the cached factorization; the caches and the shared prime and totient
-lists only ever grow, so concurrent readers are safe under the GIL.
+whose cofactor falls below that square, factors exactly.  mobius_divisors
+gives the pairs (t, mu(n/t)) of every product over (1 - x^t)^mu(n/t).  All
+but mobius, divisors, alpha, n_alpha and radical memoize; the caches and the
+shared lists only ever grow, so concurrent readers are safe under the GIL.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 from .errors import InputError, check_guardrail
 
@@ -97,7 +97,6 @@ def _check_positive(n: int, name: str = "n") -> None:
         raise InputError(f"{name} must be a positive integer, got {n}")
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     """Mobius function: (-1)^r on squarefree n with r prime factors, else 0."""
     _check_positive(n)
@@ -141,10 +140,6 @@ def prime_power_value(n: int) -> int:
     return 1
 
 
-def is_prime_power(n: int) -> bool:
-    return n > 1 and prime_power_value(n) > 1
-
-
 def radical(n: int) -> int:
     """rad(n), the product of the distinct primes dividing n; rad(1) = 1."""
     return prod(p for p, _ in factorize(n))
@@ -161,7 +156,6 @@ def jordan_totient(k: int, n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     _check_positive(n)
@@ -172,16 +166,24 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def ramanujan_sum(k: int, n: int) -> int:
-    """Ramanujan sum r_k(n) via the divisor-sum form sum_{d | (n,k)} mu(n/d) d.
+def mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (t, mu(n/t)) over the divisors t of n with mu(n/t) != 0,
+    ascending in t: n/t runs over the 2^omega(n) squarefree divisors of n."""
+    _check_positive(n)
+    pairs = [(n, 1)]
+    for p, _ in factorize(n):
+        pairs += [(t // p, -mu) for t, mu in pairs]
+    return tuple(sorted(pairs))
 
-    k = 0 is accepted with (n, 0) = n, which yields r_0(n) = phi(n).
-    """
+
+@lru_cache(maxsize=None)
+def ramanujan_sum(k: int, n: int) -> int:
+    """Ramanujan sum r_k(n) = sum_{t | (n, k)} mu(n/t) t; every t divides
+    k = 0, which yields r_0(n) = phi(n)."""
     _check_positive(n)
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
-    g = n if k == 0 else gcd(n, k)
-    return sum(mobius(n // d) * d for d in divisors(g))
+    return sum(mu * t for t, mu in mobius_divisors(n) if k % t == 0)
 
 
 def alpha(n: int) -> Fraction:

@@ -22,7 +22,7 @@ from math import factorial
 from operator import mul
 
 from .errors import InputError, PoleError, check_guardrail, check_printable, int_str
-from .numtheory import divisors, euler_phi, mobius, radical
+from .numtheory import divisors, euler_phi, mobius_divisors, radical
 
 
 class IntPoly:
@@ -209,7 +209,7 @@ def cyclotomic(n: int) -> IntPoly:
         return IntPoly(out)
     half = deg // 2
     out = [1] + [0] * half
-    _times_mobius_factors(out, {d: mobius(n // d) for d in divisors(n) if d <= half})
+    _times_mobius_factors(out, {t: mu for t, mu in mobius_divisors(n) if t <= half})
     return IntPoly(out + out[deg - half - 1 :: -1])
 
 
@@ -245,8 +245,8 @@ def cyclotomic_product(factors: dict[int, int], cofactor: IntPoly) -> IntPoly:
     for d, e in factors.items():
         if e < 0:
             raise InputError(f"negative exponent {e} for Phi_{d}")
-        for t in divisors(d):
-            net[t] = net.get(t, 0) + mobius(d // t) * e
+        for t, mu in mobius_divisors(d):
+            net[t] = net.get(t, 0) + mu * e
     extra = sum(t * n for t, n in net.items())
     check_guardrail("degree", cofactor.degree + extra, "DEGREE_GUARDRAIL", DEGREE_GUARDRAIL)
     out = list(cofactor.coeffs) + [0] * extra
@@ -259,23 +259,19 @@ def cyclotomic_product(factors: dict[int, int], cofactor: IntPoly) -> IntPoly:
 def cyclotomic_value(n: int, x: int) -> int:
     """Phi_n(x) for integer x.
 
-    With r = rad(n) and y = x^(n/r), Phi_n(x) = Phi_r(y) = prod_{d | r}
-    (y^d - 1)^mu(r/d).  For |x| >= 2 no factor vanishes, so the value is the
-    exact quotient of the products over mu(r/d) = 1 and mu(r/d) = -1, and no
-    polynomial is built; for |x| <= 1 the squarefree Phi_r is evaluated at y
-    instead.
+    Phi_n(x) = prod_{t | n} (x^t - 1)^mu(n/t).  For |x| >= 2 no factor
+    vanishes, so the value is the exact quotient of the products over
+    mu(n/t) = 1 and mu(n/t) = -1, and no polynomial is built.  For |x| <= 1
+    the squarefree Phi_r, r = rad(n), of degree phi(n) r / n, is evaluated at
+    x^(n/r) instead, so Phi_(2^40)(1) builds only Phi_2.
     """
-    r = radical(n)
-    y = x ** (n // r)
     if abs(x) < 2:
-        return cyclotomic(r)(y)
-    num = den = 1
-    for d in divisors(r):
-        if mobius(r // d) == 1:
-            num *= y ** d - 1
-        else:
-            den *= y ** d - 1
-    return num // den
+        r = radical(n)
+        return cyclotomic(r)(x ** (n // r))
+    factors = {1: 1, -1: 1}
+    for t, mu in mobius_divisors(n):
+        factors[mu] *= x ** t - 1
+    return factors[1] // factors[-1]
 
 
 def inverse_cyclotomic(n: int) -> IntPoly:

@@ -77,10 +77,12 @@ class NumericalSemigroup:
         }
 
 
-# largest m * (number of distinct generators) from_generators takes; the
-# round robin costs m steps per minimal generator, and at this limit
-# `semigroup info --gens 4096,...,8191`, all minimal, takes about 1.7 s from
-# a cold start (Python 3.11, 2 vCPU)
+# largest number of Apery-kernel steps: the round robin of from_generators
+# costs m steps per minimal generator, bounded by m * (number of distinct
+# generators), and the Kunz sweep of from_gaps one step per pair of nonzero
+# residues, m(m - 1)/2.  At this limit `semigroup info --gens 4096,...,8191`,
+# all minimal, takes about 1.7 s from a cold start, and from_gaps of the
+# gaps 1..5792 about 1 s in-process (Python 3.11, 2 vCPU)
 ROUND_ROBIN_LIMIT = 2 ** 24
 
 
@@ -191,8 +193,9 @@ def from_gaps(gaps) -> NumericalSemigroup:
         if z > m and z - m not in gap_set:
             raise InputError(f"complement not closed: {m} + {z - m} hits gap {z}")
         apery[z % m] = z + m
-    # the degree is refused before the O(m^2) sweep
+    # the degree, then the m(m - 1)/2 residue pairs, are refused before the sweep
     frobenius = _frobenius(apery)
+    check_guardrail("residue pairs m(m - 1)/2 =", m * (m - 1) // 2, "ROUND_ROBIN_LIMIT", ROUND_ROBIN_LIMIT)
     return _from_apery(apery, frobenius, _kunz_sweep(apery))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 
 from hypothesis import given, settings
@@ -47,6 +48,32 @@ def test_phi_dump_coeffs_unwritable_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, "phi", "105", "--dump-coeffs", str(target))
         assert (code, out) == (2, ""), target
         assert err.startswith(f"error: cannot write {str(target)!r}: ") and "Traceback" not in err
+
+
+def _readme_cli_lines():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("cyclokit ")]
+
+
+def test_readme_cli_examples_run_and_print_their_values(tmp_path, monkeypatch, capsys):
+    # every example runs cleanly, and a trailing comment that starts with a
+    # value names the first line the command prints
+    monkeypatch.chdir(tmp_path)  # `--dump-coeffs c.csv` writes here
+    lines = _readme_cli_lines()
+    assert len(lines) == 17
+    valued = 0
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr()
+        assert code in (0, 1) and out.err == "", (line, code, out.err)
+        value = re.match(r"-?\d+(?:[/,]\d+)*", line.partition("#")[2].strip())
+        if value:
+            assert out.out.splitlines()[0] == value.group(), line
+            valued += 1
+    assert valued == 8
+    assert (tmp_path / "c.csv").read_text().splitlines()[8] == "7,-2"
 
 
 def test_phi_guardrail(capsys):

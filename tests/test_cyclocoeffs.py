@@ -59,7 +59,8 @@ def _coeff_moller_full_enumeration(n, k):
         term = 1
         for j, lam in enumerate(vec, start=1):
             if lam:
-                term *= (-1) ** lam * _binom_mu(cc._mu_at(n, j), lam)
+                mu = nt.mobius(n // j) if n % j == 0 else 0
+                term *= (-1) ** lam * _binom_mu(mu, lam)
                 if term == 0:
                     break
         total += term

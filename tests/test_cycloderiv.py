@@ -75,15 +75,16 @@ def test_log_deriv_phi_at_zero():
         cd.log_deriv_phi_at_zero(1, 1)
 
 
-def test_log_deriv_phi_at_zero_divisor_form():
-    # -(k-1)! sum_{d | (k,n)} mu(n/d) d
+def test_log_deriv_phi_at_zero_holder_form():
+    # -(k-1)! r_k(n), with r_k(n) in Holder's closed form mu(m) phi(n) / phi(m),
+    # m = n / (n, k), not production's divisor sum
     from math import gcd
 
     for n in range(2, 61):
         for k in range(1, 13):
-            g = gcd(n, k)
-            s = sum(nt.mobius(n // d) * d for d in nt.divisors(g))
-            assert cd.log_deriv_phi_at_zero(n, k) == -factorial(k - 1) * s
+            m = n // gcd(n, k)
+            r = nt.mobius(m) * nt.euler_phi(n) // nt.euler_phi(m)
+            assert cd.log_deriv_phi_at_zero(n, k) == -factorial(k - 1) * r
 
 
 def test_log_deriv_phi_at_one_values():

@@ -15,6 +15,14 @@ def test_mobius_values():
     assert nt.mobius(30) == -1
 
 
+def test_mobius_divisors_are_the_nonzero_pairs_ascending():
+    # the huge n walk their divisors, which share only factorize with the pairs
+    for n in [*range(1, 2001), 2 ** 40, 3 ** 30, 2 * 3 ** 25 * 5 ** 3]:
+        divs = range(1, n + 1) if n <= 2000 else nt.divisors(n)
+        expected = [(t, nt.mobius(n // t)) for t in divs if n % t == 0 and nt.mobius(n // t)]
+        assert list(nt.mobius_divisors(n)) == expected, n
+
+
 def test_euler_phi_values():
     assert nt.euler_phi(6) == 2
     assert nt.euler_phi(30) == 8
@@ -93,9 +101,9 @@ def _ramanujan_sum_holder(k, n):
 
 
 def test_ramanujan_holder_agrees_with_kluyver():
-    for n in range(1, 201):
-        for k in range(1, 201):
-            assert _ramanujan_sum_holder(k, n) == nt.ramanujan_sum(k, n)
+    for n in range(1, 301):
+        for k in range(0, 3 * n + 1):
+            assert _ramanujan_sum_holder(k, n) == nt.ramanujan_sum(k, n), (k, n)
     assert _ramanujan_sum_holder(2, 4) == -2
     assert _ramanujan_sum_holder(1, 6) == 1
     for n in range(1, 60):

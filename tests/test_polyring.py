@@ -155,7 +155,7 @@ def test_phi_at_minus_one_classification():
     assert pr.cyclotomic(2)(-1) == 0
     for n in range(3, 121):
         # n = 2 p^e (p prime, e >= 1) gives p, anything else gives 1
-        if n % 2 == 0 and nt.is_prime_power(n // 2):
+        if n % 2 == 0 and nt.prime_power_value(n // 2) > 1:
             expected = nt.prime_power_value(n // 2)
         else:
             expected = 1
@@ -413,7 +413,7 @@ def test_eval_at_root_of_unity():
     for m in (1, 2, 3, 4, 6):
         for n in range(m + 1, 61):
             norm = pr.norm_at_root_of_unity(pr.cyclotomic(n), m)
-            if n % m == 0 and nt.is_prime_power(n // m):
+            if n % m == 0 and nt.prime_power_value(n // m) > 1:
                 p = nt.prime_power_value(n // m)
                 assert norm == p * p
             else:
@@ -460,6 +460,21 @@ def test_cyclotomic_value_matches_polynomial():
         f = pr.cyclotomic(n)
         for a in (2, -2, 3, -3, 5, -7, 0, 1, -1):
             assert pr.cyclotomic_value(n, a) == f(a), (n, a)
+
+
+def test_cyclotomic_value_near_zero_on_huge_non_squarefree_n():
+    # Phi_n(x) = Phi_r(x^(n/r)), r = rad(n), worked by hand: Phi_(2^40) = x^(2^39) + 1,
+    # Phi_(3^30)(+-1) = Phi_3(+-1), and n / r is odd for the other two, so
+    # Phi_n(-1) = Phi_6(-1) = 3 and Phi_30(-1) = Phi_15(1) = 1.  No Phi_n of
+    # degree phi(n) > DEGREE_GUARDRAIL may be built on the way.
+    expected = {
+        2 ** 40: (2, 1, 2),
+        3 ** 30: (1, 1, 3),
+        2 * 3 ** 25: (3, 1, 1),
+        2 * 3 ** 25 * 5 ** 3: (1, 1, 1),
+    }
+    for n, values in expected.items():
+        assert tuple(pr.cyclotomic_value(n, x) for x in (-1, 0, 1)) == values, n
 
 
 def test_poly_div_exact():

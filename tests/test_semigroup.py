@@ -312,6 +312,29 @@ def test_from_gaps_degree_guardrail_speaks_before_the_sweep(monkeypatch):
         sg.from_gaps([1, 2, 5, 8])
 
 
+def test_from_gaps_refuses_the_residue_pairs_before_the_sweep(monkeypatch):
+    def no_sweep(apery):
+        raise AssertionError(f"Kunz sweep over {len(apery)} residues")
+
+    monkeypatch.setattr(sg, "_kunz_sweep", no_sweep)
+    # the gaps 1..m-1 have multiplicity m, and 5793 * 5792 / 2 <= 2^24 < 5794 * 5793 / 2
+    refusal = r"^residue pairs m\(m - 1\)/2 = {} exceeds the guardrail ROUND_ROBIN_LIMIT = {}$"
+    with pytest.raises(ResourceError, match=refusal.format(16782321, 16777216)):
+        sg.from_gaps(range(1, 5794))
+    with pytest.raises(AssertionError, match="Kunz sweep over 5793 residues"):
+        sg.from_gaps(range(1, 5793))
+    # closure under m, then the degree, speak before the pairs
+    monkeypatch.setattr(sg, "ROUND_ROBIN_LIMIT", 0)
+    with pytest.raises(InputError, match=r"^complement not closed: 2 \+ 2 hits gap 4$"):
+        sg.from_gaps([1, 3, 4])
+    monkeypatch.setattr(pr, "DEGREE_GUARDRAIL", 8)
+    with pytest.raises(ResourceError, match=r"^degree F \+ 1 = 9 exceeds the guardrail DEGREE_GUARDRAIL = 8$"):
+        sg.from_gaps([1, 2, 5, 8])
+    monkeypatch.setattr(pr, "DEGREE_GUARDRAIL", 9)
+    with pytest.raises(ResourceError, match=refusal.format(3, 0)):
+        sg.from_gaps([1, 2, 5, 8])
+
+
 def test_symmetry_characterizations_agree():
     # x in S iff F - x is a gap, and P_S self-reciprocal, against the genus test
     accepted = [gs for gs in _random_gap_sets() if _pairwise_closure_witness(gs) is None]
