@@ -19,7 +19,7 @@ from math import factorial
 from .combinat import bell_complete, check_table_index
 from .cycloderiv import phi_derivs_at_one
 from .errors import InputError, InvariantError, check_guardrail
-from .numtheory import euler_phi, mobius_divisors, ramanujan_sum
+from .numtheory import euler_phi, mobius, ramanujan_sum
 from .polyring import cyclotomic
 
 # largest k coeff_moller takes: its partition walk grows like the partition
@@ -54,8 +54,8 @@ def coeff_moller(n: int, k: int) -> int:
     sign = -1 if n == 1 else 1
     if k == 0:
         return sign
-    # the parts j <= k with mu(n/j) = +1 or -1, largest first
-    parts = [(j, mu) for j, mu in reversed(mobius_divisors(n)) if j <= k]
+    # the parts j <= k with mu(n/j) = +1 or -1, largest first, in k steps
+    parts = [(j, mu) for j in range(k, 0, -1) if n % j == 0 and (mu := mobius(n // j))]
     last = len(parts) - 1
 
     def signed_count(rem: int, i: int) -> int:

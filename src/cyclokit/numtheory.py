@@ -178,12 +178,14 @@ def mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def ramanujan_sum(k: int, n: int) -> int:
-    """Ramanujan sum r_k(n) = sum_{t | (n, k)} mu(n/t) t; every t divides
-    k = 0, which yields r_0(n) = phi(n)."""
+    """Ramanujan sum r_k(n) = sum_{t | (n, k)} mu(n/t) t, with r_0(n) = phi(n):
+    each t with mu(n/t) != 0 takes p^e or p^(e-1) from each p^e || n, so the
+    sum is prod_p (p^e [p^e | k] - p^(e-1) [p^(e-1) | k]), in omega(n) steps."""
     _check_positive(n)
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
-    return sum(mu * t for t, mu in mobius_divisors(n) if k % t == 0)
+    return prod((k % p ** e == 0) * p ** e - (k % p ** (e - 1) == 0) * p ** (e - 1)
+                for p, e in factorize(n))
 
 
 def alpha(n: int) -> Fraction:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -71,6 +72,12 @@ def test_coeff_moller_matches_full_enumeration():
     for n in range(1, 120):
         for k in range(0, 15):
             assert cc.coeff_moller(n, k) == _coeff_moller_full_enumeration(n, k)
+
+
+def test_coeff_moller_on_a_primorial_matches_the_recurrence():
+    # 47# has 2^15 pairs (t, mu(n/t)); only the j <= k among them are parts
+    n = prod(nt.primes_up_to(47))
+    assert cc.coeff_prefix_recurrence(n, 40) == [cc.coeff_moller(n, k) for k in range(41)]
 
 
 def test_coeff_prefix_recurrence():

@@ -22,9 +22,11 @@ import os
 import re
 import subprocess
 import sys
+from math import prod
 
 import cyclokit
 from cyclokit.cli import build_parser
+from cyclokit.numtheory import primes_up_to
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cyclokit.__file__)))
 
@@ -33,6 +35,7 @@ ADDRESS_SPACE = 1 << 30
 CPU_SECONDS = 60
 UNBOUNDED = 2 ** 64
 DIGITS = "sys.get_int_max_str_digits()"
+PRIMORIAL = prod(primes_up_to(113))
 
 
 def _doubling(start: int, stop: int) -> list[int]:
@@ -60,6 +63,14 @@ LADDERS = [
     ("K", lambda v: ["coeff", "2", str(v), "--method", "all"], _doubling(1, 2 ** 7), "MOLLER_K_CAP"),
     ("K", lambda v: ["ramanujan", str(v), "1"], _doubling(1, UNBOUNDED), None),
     ("N", lambda v: ["ramanujan", "1", str(v)], _doubling(1, UNBOUNDED), None),
+    # 113# has 30 prime factors, so 2^30 pairs (t, mu(N/t)); r_k(N) and the
+    # Moller parts j <= k must not list them
+    ("N", lambda v: ["ramanujan", "1", str(v)], [PRIMORIAL], None),
+    ("N", lambda v: ["ramanujan", "0", str(v)], [PRIMORIAL], None),
+    ("N", lambda v: ["coeff", str(v), "3", "--method", "moller"], [PRIMORIAL], None),
+    ("N", lambda v: ["coeff", str(v), "3", "--method", "recurrence"], [PRIMORIAL], None),
+    ("N", lambda v: ["coeff", str(v), "3", "--method", "all"], [PRIMORIAL], "DEGREE_GUARDRAIL"),
+    ("N", lambda v: ["logderiv", "phi", str(v), "--at", "0", "--order", "2"], [PRIMORIAL], None),
     ("K", lambda v: ["jordan", str(v), "1"], _doubling(1, 2 ** 9), "TABLE_INDEX_LIMIT"),
     ("N", lambda v: ["jordan", "1", str(v)], _doubling(1, UNBOUNDED), None),
     ("K", lambda v: ["bernoulli", str(v)], _doubling(1, 2 ** 9), "TABLE_INDEX_LIMIT"),

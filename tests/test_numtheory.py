@@ -110,6 +110,17 @@ def test_ramanujan_holder_agrees_with_kluyver():
         assert _ramanujan_sum_holder(n, n) == nt.euler_phi(n)
 
 
+def test_ramanujan_sum_on_a_primorial_agrees_with_holder():
+    # 47# has 15 prime factors: 2^15 pairs (t, mu(n/t)), one factor per prime
+    n = math.prod(nt.primes_up_to(47))
+    ks = list(range(0, 300)) + [n, 2 * n, n // 47, 6 * n // 47, 10 ** 30 + 1]
+    for k in ks:
+        assert nt.ramanujan_sum(k, n) == _ramanujan_sum_holder(k, n), k
+    for n in (2 ** 40, 3 ** 30, 2 * 3 ** 25 * 5 ** 3):
+        for k in (0, 1, 2, 6, n // 6, n // 2, n):
+            assert nt.ramanujan_sum(k, n) == _ramanujan_sum_holder(k, n), (k, n)
+
+
 def test_ramanujan_matches_float_root_sum():
     for n in range(1, 101):
         for k in range(1, 101):
