@@ -22,7 +22,7 @@ from math import factorial
 from operator import mul
 
 from .errors import InputError, PoleError, check_guardrail, check_printable, int_str
-from .numtheory import divisors, euler_phi, mobius_divisors, radical
+from .numtheory import divisors, euler_phi, mobius_divisors, n_alpha, prime_power_value, radical
 
 
 class IntPoly:
@@ -261,13 +261,18 @@ def cyclotomic_value(n: int, x: int) -> int:
 
     Phi_n(x) = prod_{t | n} (x^t - 1)^mu(n/t).  For |x| >= 2 no factor
     vanishes, so the value is the exact quotient of the products over
-    mu(n/t) = 1 and mu(n/t) = -1, and no polynomial is built.  For |x| <= 1
-    the squarefree Phi_r, r = rad(n), of degree phi(n) r / n, is evaluated at
-    x^(n/r) instead, so Phi_(2^40)(1) builds only Phi_2.
+    mu(n/t) = 1 and mu(n/t) = -1.  For |x| <= 1 and n >= 3 the values are
+    closed forms: Phi_n(0) = 1, Phi_n(1) = p when n = p^k and 1 otherwise,
+    and Phi_n(-1) = Phi_(n alpha(n))(1), since Phi_n(-x) is Phi_(2n)(x) for
+    odd n, Phi_(n/2)(x) for n = 2 (mod 4) and Phi_n(x) for 4 | n.  No
+    polynomial is built.
     """
     if abs(x) < 2:
-        r = radical(n)
-        return cyclotomic(r)(x ** (n // r))
+        if n < 3:
+            return cyclotomic(n)(x)
+        if x == 0:
+            return 1
+        return prime_power_value(n if x == 1 else n_alpha(n))
     factors = {1: 1, -1: 1}
     for t, mu in mobius_divisors(n):
         factors[mu] *= x ** t - 1

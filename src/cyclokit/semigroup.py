@@ -14,14 +14,16 @@ per residue class mod gcd(a, m).  So the Apery set and the minimal
 generators come out of one pass, and the set is closed by construction.
 
 From a gap set, w_r is the largest gap in each class plus m, once each
-residue class of the complement is closed under adding m.  One sweep over
-the pairs r <= s of nonzero residues then reads the Kunz inequalities
-w_r + w_s >= w_(r+s): one that fails means the gap set is not the complement
-of a semigroup, and one that holds with equality makes w_(r+s) no minimal
-generator.  The minimal generators are m and every w_r that is not such a
-sum.  That is O(F + m^2) in all, against O(F^2) for the pairwise test on the
-gaps, and it beats a round-robin lap per minimal generator when, as for the
-children of S_k, almost every w_r is one.
+residue class of the complement is closed under adding m.  The complement is
+a semigroup exactly when the round robin over m and the w_r reaches this
+Apery set again, and then its minimal generators are those of the complement:
+O(F + m e) for e minimal generators.  Where e is a large share of m, as for
+S_k and its children, one sweep over the pairs r <= s of nonzero residues
+reads the Kunz inequalities w_r + w_s >= w_(r+s) instead, in O(F + m^2): one
+that fails means the gap set is not the complement of a semigroup, and one
+that holds with equality makes w_(r+s) no minimal generator.  The sweep also
+decides every gap set the round robin does not accept, so a refusal always
+names the sum that hits a gap.
 
 The family S_k = {0, k, k+1, ...} minus {2k-1} has semigroup polynomial
 f_k = 1 - x + x^k - x^(2k-1) + x^(2k); the certification pipeline shows S_k
@@ -32,6 +34,7 @@ from 9 on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -64,7 +67,8 @@ class NumericalSemigroup:
     def contains(self, x: int) -> bool:
         if x < 0:
             return False
-        return x > self.frobenius or x not in self.gaps
+        # below F + 1 the sorted gaps end in F, so the search lands on an entry
+        return x > self.frobenius or self.gaps[bisect_left(self.gaps, x)] != x
 
     def to_json_obj(self) -> dict:
         return {
@@ -80,18 +84,25 @@ class NumericalSemigroup:
 # largest number of Apery-kernel steps: the round robin of from_generators
 # costs m steps per minimal generator, bounded by m * (number of distinct
 # generators), and the Kunz sweep of from_gaps one step per pair of nonzero
-# residues, m(m - 1)/2.  At this limit `semigroup info --gens 4096,...,8191`,
-# all minimal, takes about 1.7 s from a cold start, and from_gaps of the
-# gaps 1..5792 about 1 s in-process (Python 3.11, 2 vCPU)
+# residues, m(m - 1)/2.  from_gaps may run the round robin first, for at
+# most max(4, (m - 1) // 8) laps of m steps, so a gap set it then hands to
+# the sweep costs at most 5/4 of the pairs plus 5m steps.  At this limit
+# `semigroup info --gens 4096,...,8191`, all minimal, takes about 1.7 s from
+# a cold start; in-process, from_gaps takes about 0.6 s on the gaps 1..5792
+# (the sweep alone) and 1.0 s at m = 5793 on w_1 = m + 1, w_2 = 2m + 2 and
+# w_r = 2m + r (the round robin up to its budget, then the sweep), on
+# Python 3.11, 2 vCPU
 ROUND_ROBIN_LIMIT = 2 ** 24
 
 
-def _round_robin(m: int, gens: list[int]) -> tuple[list[int], list[int]]:
+def _round_robin(m: int, gens: list[int], most: int | None = None) -> tuple[list[int], list[int]] | None:
     # the Apery set mod m of the semigroup generated by gens (ascending, m
-    # among them) and its minimal generators.  A least element is a sum of at
-    # most m - 1 generators other than m (a longer sum has a subsum = 0 mod m,
-    # whose removal leaves a smaller element of the class), so every reached
-    # entry w_r, and w_r + a with it, stays below the unreached mark
+    # among them) and its minimal generators, or None, before its lap, on
+    # finding more than `most` of them (m included).  A least element is a
+    # sum of at most m - 1 generators other than m (a longer sum has a subsum
+    # = 0 mod m, whose removal leaves a smaller element of the class), so
+    # every reached entry w_r, and w_r + a with it, stays below the unreached
+    # mark
     unreached = m * gens[-1] + 1
     w = [unreached] * m
     w[0] = 0
@@ -99,6 +110,8 @@ def _round_robin(m: int, gens: list[int]) -> tuple[list[int], list[int]]:
     for a in gens:
         if w[a % m] <= a:
             continue
+        if len(minimal) == most:
+            return None
         minimal.append(a)
         # a moves within the classes mod d = gcd(a, m); one lap per class
         # from its least entry, which a cannot lower, sets w_(r+a) to
@@ -138,6 +151,26 @@ def _kunz_sweep(apery: list[int]) -> list[int]:
     return [m] + [w for w in apery[1:] if w not in decomposable]
 
 
+def _apery_minimal(apery: list[int]) -> list[int]:
+    # the minimal generators of a gap set's Apery set.  The round robin over
+    # m and the w_r reaches the Apery set of the semigroup they generate,
+    # which is apery exactly when the complement of the gaps is closed; on any
+    # other outcome the sweep decides, and names the sum that hits a gap.  A
+    # lap costs about twice as much per step as the sweep does per pair, so
+    # the round robin gives up past max(4, (m - 1) // 8) minimal generators
+    # besides m, and a set that has more w_r below 2 min w, each certainly
+    # minimal (a sum of two nonzero w is not that small), skips it
+    m = len(apery)
+    most = 1 + max(4, (m - 1) // 8)
+    nonzero = sorted(apery[1:])
+    if m > 1 and bisect_left(nonzero, 2 * nonzero[0]) >= most:
+        return _kunz_sweep(apery)
+    found = _round_robin(m, [m] + nonzero, most)
+    if found is None or found[0] != apery:
+        return _kunz_sweep(apery)
+    return found[1]
+
+
 def _frobenius(apery: list[int]) -> int:
     frobenius = max(apery) - len(apery)
     # P_S has degree F + 1, a dense list like those polyring allocates
@@ -145,9 +178,13 @@ def _frobenius(apery: list[int]) -> int:
     return frobenius
 
 
-def _from_apery(apery: list[int], frobenius: int, minimal: list[int]) -> NumericalSemigroup:
+def _from_apery(
+    apery: list[int], frobenius: int, minimal: list[int], gaps: tuple[int, ...] | None = None
+) -> NumericalSemigroup:
+    # gaps, when the caller has them sorted, are not read off apery again
     m = len(apery)
-    gaps = tuple(x for x in range(1, frobenius + 1) if x < apery[x % m])
+    if gaps is None:
+        gaps = tuple(x for x in range(1, frobenius + 1) if x < apery[x % m])
     return NumericalSemigroup(
         minimal_generators=tuple(sorted(minimal)),
         gaps=gaps,
@@ -188,15 +225,16 @@ def from_gaps(gaps) -> NumericalSemigroup:
         m += 1
     # the complement must be closed under adding m; then the gaps = r (mod m)
     # are r, r + m, ..., and w_r is the largest of them plus m
+    gaps = tuple(sorted(gap_set))
     apery = [0] * m
-    for z in sorted(gap_set):
+    for z in gaps:
         if z > m and z - m not in gap_set:
             raise InputError(f"complement not closed: {m} + {z - m} hits gap {z}")
         apery[z % m] = z + m
-    # the degree, then the m(m - 1)/2 residue pairs, are refused before the sweep
+    # the degree, then the m(m - 1)/2 residue pairs, are refused before either kernel
     frobenius = _frobenius(apery)
     check_guardrail("residue pairs m(m - 1)/2 =", m * (m - 1) // 2, "ROUND_ROBIN_LIMIT", ROUND_ROBIN_LIMIT)
-    return _from_apery(apery, frobenius, _kunz_sweep(apery))
+    return _from_apery(apery, frobenius, _apery_minimal(apery), gaps)
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:

@@ -456,7 +456,7 @@ def test_eval_at_root_of_unity_matches_division(f, m):
 
 
 def test_cyclotomic_value_matches_polynomial():
-    for n in range(1, 2000):
+    for n in range(1, 2001):
         f = pr.cyclotomic(n)
         for a in (2, -2, 3, -3, 5, -7, 0, 1, -1):
             assert pr.cyclotomic_value(n, a) == f(a), (n, a)
@@ -475,6 +475,19 @@ def test_cyclotomic_value_near_zero_on_huge_non_squarefree_n():
     }
     for n, values in expected.items():
         assert tuple(pr.cyclotomic_value(n, x) for x in (-1, 0, 1)) == values, n
+
+
+def test_cyclotomic_value_at_zero_and_one_builds_no_polynomial(monkeypatch):
+    # Phi_n(1) = p for n = p^k, Phi_n(0) = 1 and Phi_n(-1) = Phi_(n alpha(n))(1)
+    # for n >= 3, though phi(n) or phi(rad(n)) lies above DEGREE_GUARDRAIL:
+    # 1000003 is prime, 2000006 twice it, and 111546435 = 3 * 5 * ... * 23
+    def no_build(n):
+        raise AssertionError(f"built Phi_{n}")
+
+    monkeypatch.setattr(pr, "cyclotomic", no_build)
+    assert [pr.cyclotomic_value(n, 1) for n in (1000003, 2000006, 111546435)] == [1000003, 1, 1]
+    assert [pr.cyclotomic_value(n, 0) for n in (1000003, 2000006, 111546435)] == [1, 1, 1]
+    assert [pr.cyclotomic_value(n, -1) for n in (1000003, 2000006, 111546435, 4 * 1000003)] == [1, 1000003, 1, 1]
 
 
 def test_poly_div_exact():

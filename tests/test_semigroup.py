@@ -1,6 +1,7 @@
 import heapq
 import random
 import re
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -88,6 +89,32 @@ def _random_generator_sets():
         if gcd(*gens) == 1:
             out.append(gens)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _glued_sets():
+    # <a p, a q, u p + v q>, the gluing of a <p, q> with N: complete
+    # intersections, all three generators minimal
+    rng = random.Random(1105)
+    out = []
+    while len(out) < 300:
+        p, q = sorted(rng.sample(range(2, 14), 2))
+        a, u, v = rng.randint(2, 7), rng.randint(0, 3), rng.randint(0, 3)
+        r = u * p + v * q
+        if gcd(p, q) == 1 and u + v >= 2 and gcd(a, r) == 1 and r not in (a * p, a * q):
+            gens = sorted((a * p, a * q, r))
+            if _minimal_by_subset_sums(gens) == tuple(gens):
+                out.append(tuple(gens))
+    return tuple(out)
+
+
+def test_contains_matches_gap_set_membership():
+    for gens in _random_generator_sets():
+        S = sg.from_generators(gens)
+        gap_set = set(S.gaps)
+        assert [S.contains(x) for x in range(-1, S.frobenius + 3)] == [
+            x >= 0 and x not in gap_set for x in range(-1, S.frobenius + 3)
+        ], gens
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +227,13 @@ def _kunz_minimal_by_two_loops(apery):
     ]
 
 
-def _dijkstra_and_two_loops(m, gens):
+def _dijkstra_and_two_loops(m, gens, most=None):
+    # the round robin's contract: None past `most` minimal generators
     apery = _apery_by_dijkstra(gens)
-    return apery, _kunz_minimal_by_two_loops(apery)
+    minimal = _kunz_minimal_by_two_loops(apery)
+    if most is not None and len(minimal) > most:
+        return None
+    return apery, minimal
 
 
 def _outcome(build, arg):
@@ -236,13 +267,107 @@ def _kunz_gap_sets():
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _sparse_gap_sets():
+    # gap sets of semigroups with 2 to 5 generators and m >= 20, each as it
+    # is, with the largest gap of one residue class dropped, and with that
+    # class's Apery element made a gap: all pass the closure under adding m
+    # when m stays, and many of the changed ones break a Kunz inequality
+    rng = random.Random(1104)
+    out = []
+    while len(out) < 1800:
+        m = rng.randint(20, 60)
+        gens = [m] + [rng.randint(m + 1, 3 * m) for _ in range(rng.randint(1, 4))]
+        if gcd(*gens) != 1:
+            continue
+        gaps = set(sg.from_generators(gens).gaps)
+        r = rng.randrange(1, m)
+        top = max(g for g in gaps if g % m == r)
+        out += [frozenset(gaps), frozenset(gaps - {top}), frozenset(gaps | {top + m})]
+    return tuple(out)
+
+
+def _kernel_runs(monkeypatch, args):
+    """The kernels from_gaps(arg) ran, in order, for each arg: 'round robin'
+    when it ran to the end, 'budget' when it gave up, and 'sweep'."""
+    round_robin, sweep = sg._round_robin, sg._kunz_sweep
+    ran = []
+
+    def spy_round_robin(m, gens, most=None):
+        found = round_robin(m, gens, most)
+        ran.append("budget" if found is None else "round robin")
+        return found
+
+    def spy_sweep(apery):
+        ran.append("sweep")
+        return sweep(apery)
+
+    out = []
+    with monkeypatch.context() as patched:
+        patched.setattr(sg, "_round_robin", spy_round_robin)
+        patched.setattr(sg, "_kunz_sweep", spy_sweep)
+        for arg in args:
+            ran.clear()
+            _outcome(sg.from_gaps, arg)
+            out.append(tuple(ran))
+    return out
+
+
 def test_one_sweep_matches_the_two_kunz_loops_on_gap_sets(monkeypatch):
-    gap_sets = _random_gap_sets()[:4000] + _kunz_gap_sets()
+    gap_sets = _random_gap_sets()[:4000] + _kunz_gap_sets() + _sparse_gap_sets()
     old, new = _oracles_and_kernels(monkeypatch, sg.from_gaps, gap_sets)
     assert new == old
-    accepted = sum(isinstance(S, sg.NumericalSemigroup) for S in new[4000:])
-    swept_out = sum(isinstance(S, str) for S in new[4000:])
+    accepted = sum(isinstance(S, sg.NumericalSemigroup) for S in new[4000:8000])
+    swept_out = sum(isinstance(S, str) for S in new[4000:8000])
     assert accepted > 200 and swept_out > 1000, (accepted, swept_out)
+    # each kernel accepts and refuses its share, the refusals worded as the
+    # two loops word them; a round robin that ran to the end decided the set,
+    # though on a refusal the sweep names the failing sum
+    seen = Counter()
+    for runs, S in zip(_kernel_runs(monkeypatch, gap_sets), new):
+        if runs:
+            kernel = "round robin" if runs[0] == "round robin" else "sweep"
+            seen[kernel, isinstance(S, sg.NumericalSemigroup)] += 1
+    assert min(seen[kernel, ok] for kernel in ("round robin", "sweep") for ok in (True, False)) >= 200, seen
+
+
+def test_from_gaps_kernel_per_family(monkeypatch):
+    # census-style sets, at most 5 generators: the round robin alone
+    census = [sg.from_generators(gens) for gens in _random_generator_sets() + _glued_sets()]
+    census.append(sg.from_generators([187, 200, 290, 301]))
+    assert set(_kernel_runs(monkeypatch, [S.gaps for S in census])) == {("round robin",)}
+    assert [sg.from_gaps(S.gaps) for S in census] == census
+
+    # S_k, the family built from it and <m, m + 1, ..., 2m - 1>: each w_r
+    # below 2 min w is minimal, too many for the round robin
+    def no_round_robin(m, gens, most=None):
+        if most is not None:  # from_gaps gives the budget, from_generators none
+            raise AssertionError(f"round robin over {m} residues")
+        return round_robin(m, gens)
+
+    round_robin = sg._round_robin
+    monkeypatch.setattr(sg, "_round_robin", no_round_robin)
+    for k in range(7, 300):
+        assert sg.s_k(k).embedding_dimension == k - 1
+    for F in range(17, 402, 2):
+        assert sg.noncyclotomic_symmetric_with_frobenius(F).frobenius == F
+    for m in (6, 50, 400):
+        assert sg.from_gaps(range(1, m)).minimal_generators == tuple(range(m, 2 * m))
+
+
+def _one_small_then_all_minimal(m):
+    # w_1 = m + 1, w_2 = 2m + 2 = 2 w_1 and w_r = 2m + r: only w_1 lies below
+    # 2 min w, yet every w_r but w_2 is a minimal generator
+    return list(range(1, m)) + list(range(m + 2, 2 * m))
+
+
+def test_from_gaps_round_robin_budget_hands_over_to_the_sweep(monkeypatch):
+    ms = (41, 97, 500, 2000)
+    runs = _kernel_runs(monkeypatch, [_one_small_then_all_minimal(m) for m in ms])
+    assert runs == [("budget", "sweep")] * len(ms)
+    for m in ms:
+        S = sg.from_generators([m, m + 1] + list(range(2 * m + 3, 3 * m)))
+        assert sg.from_gaps(_one_small_then_all_minimal(m)) == S and S.embedding_dimension == m - 1
 
 
 def test_round_robin_matches_dijkstra_and_the_two_kunz_loops_on_generators(monkeypatch):
@@ -288,7 +413,7 @@ def test_from_generators_never_reaches_the_kunz_sweep(monkeypatch):
     for F in (9, 11, 15):  # the three fixed generator lists of the family
         assert sg.noncyclotomic_symmetric_with_frobenius(F).frobenius == F
     with pytest.raises(AssertionError, match="Kunz sweep"):
-        sg.from_gaps([1, 2, 3])
+        sg.from_gaps(range(1, 10))
 
 
 def test_one_sweep_matches_the_two_kunz_loops_on_the_constructions(monkeypatch):
