@@ -10,11 +10,13 @@ Shparlinski), in time near-linear in the number of candidates; the search
 runs once per binary order of magnitude of the degree and is cached.
 
 Every division by a Phi_d is screened first by the integer divisibility
-tests Phi_d(2) | f(2) and Phi_d(3) | f(3), repeated before each further
-division by the same Phi_d; only survivors are divided, and only division
-decides.  The factorization is the only test of Phi_d-divisibility: every
-multiplicity the later stages need, and the gcd pattern of the semigroup
-family f_k, is read off it.
+tests Phi_d(2) | f(2) and then Phi_d(3) | f(3), repeated before each further
+division by the same Phi_d; Phi_d(3) is computed only for the d that pass at
+2 (a few in ten thousand at degree 5500), each value in a bounded cache of
+its own.  Only survivors are divided, and only division decides.  The
+factorization is the only test of Phi_d-divisibility: every multiplicity the
+later stages need, and the gcd pattern of the semigroup family f_k, is read
+off it.
 
 certify factors first and checks the factorization against f by rebuilding
 the product with polyring.cyclotomic_product, the Mobius series Phi_d =
@@ -24,22 +26,32 @@ non-Kronecker certificates follow: sign tests at a few small integers on the
 real line, the vanishing odd-order Stirling-weighted logarithmic-derivative
 sums, and the even-order Jordan-totient lower bounds refined through
 root-of-unity exclusions and the multiplicities the factorization found.
+Every stage runs on every input, Kronecker or not, and each decides in
+integers; Fractions are built only for the witnesses of a certificate that
+fires.  The sign values come in pairs: f(1), f(-1) and f(0) are coefficient
+sums, and f(x), f(-x) = E(x^2) +- x O(x^2) for the even and odd parts E, O.
 The Stirling stages all read one row (log f)^(j)(+-1), j <= LOG_ROW_ORDER,
-per point: the values of order k are its first k entries, summed in integers
-over their common denominator.  The bounds need the least ratio J_k(j)/phi(j)
-over the indices j outside the exclusions and the indices of the three least
-ratios; both are read off one walk over the indices in ascending ratio order.
-Every certificate carries the witness values needed to recheck it without
-re-running the search.
+per point, kept over its least common denominator D as the integers
+D (log f)^(j)(+-1): a sum of order k is one integer dot product of the first
+k of them with the weights (+-1)^j {k, j}, cached per (k, point), and the
+even bounds compare it with the Jordan-totient terms times D.  The bounds
+need the least ratio J_k(j)/phi(j) over the indices j outside the exclusions
+and the indices of the three least ratios; both are read off one walk over
+the indices in ascending ratio order.  The exclusion families are tested
+symbolically above the first ratio table (j <= 128); within it, where the
+walks test most indices, membership is one bit of a mask built once per
+excluded_set and extended by every with_extra.  Every certificate carries the
+witness values needed to recheck it without re-running the search.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .combinat import bernoulli_plus, over_common_denominator, stirling_second
 from .errors import InputError, InvariantError, PoleError, rat_str
@@ -177,11 +189,17 @@ def _candidate_table(max_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# one entry per candidate d: factor_kronecker screens 10 665 at degree 5500,
-# the CLI's CERTIFY_DEGREE_LIMIT, so a second call there finds them all cached
+# one entry per candidate d in each cache: factor_kronecker screens 10 665 at
+# degree 5500, the CLI's CERTIFY_DEGREE_LIMIT, so a second call there finds
+# them all cached; Phi_d(3) is computed only for the d that pass at 2
 @lru_cache(maxsize=2 ** 14)
-def _screen_values(d: int) -> tuple[int, int]:
-    return cyclotomic_value(d, 2), cyclotomic_value(d, 3)
+def _screen_value_2(d: int) -> int:
+    return cyclotomic_value(d, 2)
+
+
+@lru_cache(maxsize=2 ** 14)
+def _screen_value_3(d: int) -> int:
+    return cyclotomic_value(d, 3)
 
 
 def factor_kronecker(f: IntPoly) -> CycloFactorization:
@@ -200,8 +218,11 @@ def factor_kronecker(f: IntPoly) -> CycloFactorization:
     for d, phid in cyclotomic_candidates(deg):
         while phid <= deg:
             # Phi_d | g over Z forces Phi_d(2) | g(2) and Phi_d(3) | g(3)
-            v2, v3 = _screen_values(d)
-            if g2 % v2 or g3 % v3:
+            v2 = _screen_value_2(d)
+            if g2 % v2:
+                break
+            v3 = _screen_value_3(d)
+            if g3 % v3:
                 break
             q = poly_div_exact(g, cyclotomic(d))
             if q is None:
@@ -223,27 +244,42 @@ def sign_tests(f: IntPoly) -> Certificate | None:
     positive on the whole real line, so any integer x with f(x) <= 0 is a
     certificate.  Only 2 <= |x| <= min(3, B) is sampled, where B = 1 +
     max|coeff| bounds the roots; the sample is a cheap early exit, and trial
-    division still decides whatever it misses."""
+    division still decides whatever it misses.
+
+    With f(x) = E(x^2) + x O(x^2) for the even and odd parts E and O, f(1),
+    f(-1) and f(0) are coefficient sums, and each pair f(x), f(-x) costs one
+    Horner pass over E and one over O at x^2; the points are tested in the
+    order -3, -2, 2, 3."""
     if not f.is_monic():
         raise InputError("sign_tests requires a monic polynomial")
-    v1 = f(1)
+    coeffs = f.coeffs
+    evens, odds = coeffs[0::2], coeffs[1::2]
+    even_sum, odd_sum = sum(evens), sum(odds)
+    v1 = even_sum + odd_sum
     if v1 < 0:
         return _sign_certificate(REASON_NEGATIVE_AT_ONE, 1, v1)
-    if f(0) == 0 or v1 == 0:
+    if coeffs[0] == 0 or v1 == 0:
         return None
-    vm1 = f(-1)
+    vm1 = even_sum - odd_sum
     if vm1 < 0:
         return _sign_certificate(REASON_NEGATIVE_AT_MINUS_ONE, -1, vm1)
     if vm1 == 0:
         return None
-    bound = min(3, 1 + max(abs(c) for c in f.coeffs))
-    for x in range(-bound, bound + 1):
-        if x in (-1, 0, 1):
-            continue
-        vx = f(x)
-        if vx <= 0:
-            return _sign_certificate(REASON_NEGATIVE_AT_POINT, x, vx)
+    values = {}
+    for x in range(2, min(3, 1 + max(map(abs, coeffs))) + 1):
+        e, o = _horner(evens, x * x), x * _horner(odds, x * x)
+        values[-x], values[x] = e - o, e + o
+    for x in sorted(values):
+        if values[x] <= 0:
+            return _sign_certificate(REASON_NEGATIVE_AT_POINT, x, values[x])
     return None
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _sign_certificate(reason: str, x: int, value: int) -> Certificate:
@@ -253,29 +289,43 @@ def _sign_certificate(reason: str, x: int, value: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # Stirling-weighted logarithmic-derivative machinery
 
+@lru_cache(maxsize=64)
+def _stirling_weights(k: int, point: int) -> tuple[int, ...]:
+    # point^j {k, j} for j = 1..k
+    return tuple(point ** j * stirling_second(k, j) for j in range(1, k + 1))
+
+
+def _stirling_numerator(nums: list[int], k: int, point: int) -> int:
+    # sum_{j <= k} point^j {k, j} nums[j - 1]: with nums a row over its
+    # denominator D, the Stirling sum of order k is this integer over D
+    return sum(map(mul, _stirling_weights(k, point), nums))
+
+
 def _stirling_sum_from_values(vals: list[Fraction], k: int, point: int) -> Fraction:
-    # sum_{j <= k} point^j {k, j} vals[j - 1], over the common denominator of
-    # the first k values, so the sum itself runs in integers
+    # the Stirling sum of order k over a row of rationals
     den, nums = over_common_denominator(vals[:k])
-    num = sum(point ** j * stirling_second(k, j) * z for j, z in enumerate(nums, 1))
-    return Fraction(num, den)
+    return Fraction(_stirling_numerator(nums, k, point), den)
 
 
 LOG_ROW_ORDER = 5
-LogRows = dict[int, list[Fraction] | None]
+# a row (D, [D (log f)'(x), ..., D (log f)^(K)(x)]) over its least common
+# denominator D > 0, or None where f vanishes
+LogRows = dict[int, tuple[int, list[int]] | None]
 
 
 def log_rows(f: IntPoly) -> LogRows:
-    """{1: row, -1: row} with row = ((log f)'(x), ..., (log f)^(K)(x)) at that
-    point for K = LOG_ROW_ORDER, or None where f vanishes.
+    """{1: row, -1: row} with row = (D, [D (log f)'(x), ..., D (log f)^(K)(x)])
+    at that point for K = LOG_ROW_ORDER and D the least common denominator of
+    the K values, or None where f vanishes.
 
     Every Stirling stage of certify (orders 2..K) reads these two rows: the
-    values of order k are the first k entries of a row.
+    sum of order k is one integer dot product of the first k entries of a row
+    with the weights point^j {k, j}, over D.
     """
     rows: LogRows = {}
     for point in (1, -1):
         try:
-            rows[point] = log_derivative_values(f, LOG_ROW_ORDER, point)
+            rows[point] = over_common_denominator(log_derivative_values(f, LOG_ROW_ORDER, point))
         except PoleError:
             rows[point] = None
     return rows
@@ -291,14 +341,14 @@ def odd_identity_check(logs: LogRows, k: int) -> Certificate | None:
     for point in (1, -1):
         if logs[point] is None:
             continue
-        vals = logs[point][:k]
-        total = _stirling_sum_from_values(vals, k, point)
-        if total != 0:
+        den, nums = logs[point]
+        total = _stirling_numerator(nums, k, point)
+        if total:
             return Certificate(
                 VERDICT_NON_KRONECKER,
                 REASON_ODD_IDENTITY,
                 k=k,
-                witnesses=tuple(vals) + (total,),
+                witnesses=tuple(Fraction(z, den) for z in nums[:k]) + (Fraction(total, den),),
                 details={"point": point},
             )
     return None
@@ -307,6 +357,9 @@ def odd_identity_check(logs: LogRows, k: int) -> Certificate | None:
 # ---------------------------------------------------------------------------
 # excluded index families from root-of-unity evaluations
 
+_RATIO_WALK_START = 128  # limit of the first ratio table; doubled as a walk needs
+
+
 @dataclass(frozen=True)
 class ExcludedIndices:
     """Symbolic description of indices d whose Phi_d cannot divide f.
@@ -314,19 +367,35 @@ class ExcludedIndices:
     allowed_primes pairs each handled m in {1, 2, 3, 4, 6} with the primes
     q <= deg f + 1 for which q^2 divides |f(zeta_m)|^2; the whole family
     {m q^j : j >= 1} is excluded for every other prime q.  The families are
-    infinite, so membership is decided symbolically.  extra holds explicitly
-    excluded single indices; 1 is always excluded.
+    infinite, so membership is decided symbolically above _RATIO_WALK_START,
+    the limit of the first ratio table.  At or below it, where the ratio
+    walks test most indices, it is one bit of a mask of the excluded indices
+    there, built from allowed_primes once per excluded_set and extended by
+    with_extra.  extra holds explicitly excluded single indices; 1 is always
+    excluded.
     """
 
     allowed_primes: tuple[tuple[int, frozenset[int]], ...]
     skipped: tuple[int, ...] = ()
     extra: frozenset[int] = frozenset()
+    # bit d set for each excluded d <= _RATIO_WALK_START; built when left out,
+    # so a copy with other allowed_primes or extra must leave it out
+    _low: int | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._low is None:
+            object.__setattr__(self, "_low", _family_mask(self.allowed_primes) | _low_bits(self.extra))
 
     def with_extra(self, indices) -> "ExcludedIndices":
-        return replace(self, extra=self.extra | frozenset(indices))
+        indices = frozenset(indices)
+        return ExcludedIndices(
+            self.allowed_primes, self.skipped, self.extra | indices, self._low | _low_bits(indices)
+        )
 
     def excludes(self, d: int) -> bool:
-        if d == 1 or d in self.extra:
+        if d <= _RATIO_WALK_START:
+            return self._low >> d & 1 == 1
+        if d in self.extra:
             return True
         for m, allowed in self.allowed_primes:
             # d = m q^j for the prime q = prime_power_value(d / m) > 1
@@ -340,6 +409,38 @@ class ExcludedIndices:
             "skipped": list(self.skipped),
             "extra": sorted(self.extra),
         }
+
+
+@lru_cache(maxsize=8)
+def _index_families(m: int) -> tuple[int, dict[int, int]]:
+    # the indices m q^j <= _RATIO_WALK_START, j >= 1, as a bit mask (bit d
+    # for index d) over every prime q, and one mask for each q apart
+    by_prime = {}
+    for q in primes_up_to(_RATIO_WALK_START // m):
+        mask = 0
+        d = m * q
+        while d <= _RATIO_WALK_START:
+            mask |= 1 << d
+            d *= q
+        by_prime[q] = mask
+    return sum(by_prime.values()), by_prime  # the masks are disjoint
+
+
+def _low_bits(indices: frozenset[int]) -> int:
+    # bit d set for each index d <= _RATIO_WALK_START
+    return sum(1 << d for d in indices if d <= _RATIO_WALK_START)
+
+
+def _family_mask(allowed_primes: tuple[tuple[int, frozenset[int]], ...]) -> int:
+    # bit d set for d = 1 and every m q^j <= _RATIO_WALK_START, j >= 1, with
+    # the prime q not allowed for m
+    out = 1 << 1
+    for m, allowed in allowed_primes:
+        every, by_prime = _index_families(m)
+        for q in allowed:
+            every &= ~by_prime.get(q, 0)
+        out |= every
+    return out
 
 
 def excluded_set(f: IntPoly, factors: dict[int, int]) -> ExcludedIndices:
@@ -370,7 +471,6 @@ def excluded_set(f: IntPoly, factors: dict[int, int]) -> ExcludedIndices:
 
 
 _MU_SCAN_LIMIT = 10 ** 6
-_RATIO_WALK_START = 128  # limit of the first ratio table; doubled as a walk needs
 
 
 @lru_cache(maxsize=16)
@@ -403,9 +503,10 @@ def _ratio_walk(k: int, C: ExcludedIndices) -> Iterator[tuple[int, int]]:
     while True:
         table = _ratio_table(k, limit)
         bound = limit ** (k - 1)
+        excludes = C.excludes
         for i in range(bisect_left(table, (done + 1,)), bisect_left(table, (bound + 1,))):
             r, j = table[i]
-            if not C.excludes(j):
+            if not excludes(j):
                 yield r, j
         if limit == _MU_SCAN_LIMIT:
             raise InvariantError("mu_C scan exhausted; excluded set admits no index")
@@ -462,19 +563,24 @@ def even_bound_check(
     """
     if k < 2 or k % 2 or k > LOG_ROW_ORDER:
         raise InputError(f"even_bound_check needs even 2 <= k <= {LOG_ROW_ORDER}")
-    scale = Fraction(k) / bernoulli_plus(k)
+    # with k/B_k^+ = a/b, b > 0, and a row (D, nums), M = a N / (b D) for the
+    # integer Stirling sum N; both bounds are compared in integers over b D
+    a, b = (Fraction(k) / bernoulli_plus(k)).as_integer_ratio()
     if logs[1] is not None:
-        m_plus = scale * _stirling_sum_from_values(logs[1], k, 1)
-        c_known = C.with_extra(known_divisors)
-        residue = m_plus - sum(e * jordan_totient(k, d) for d, e in known_divisors.items())
+        den, nums = logs[1]
+        over = b * den
+        n_plus = a * _stirling_numerator(nums, k, 1)
+        known = sum(e * jordan_totient(k, d) for d, e in known_divisors.items())
         deg_rest = degree - sum(e * euler_phi(d) for d, e in known_divisors.items())
+        c_known = C.with_extra(known_divisors)
         mu = mu_C(k, c_known)
-        if residue < mu * deg_rest:
+        if n_plus - known * over < mu.numerator * deg_rest * over:
+            residue = Fraction(n_plus - known * over, over)
             return Certificate(
                 VERDICT_NON_KRONECKER,
                 REASON_EVEN_BOUND,
                 k=k,
-                witnesses=(m_plus, residue, mu, Fraction(deg_rest)),
+                witnesses=(Fraction(n_plus, over), residue, mu, Fraction(deg_rest)),
                 details={
                     "point": 1,
                     "excluded": c_known.describe(),
@@ -484,9 +590,11 @@ def even_bound_check(
                 },
             )
     if logs[1] is not None and logs[-1] is not None:
-        m_minus = scale * _stirling_sum_from_values(logs[-1], k, -1)
-        baseline = Fraction(3 ** k - 1, 2) * degree
-        if m_minus < baseline:
+        den, nums = logs[-1]
+        n_minus = a * _stirling_numerator(nums, k, -1)
+        if 2 * n_minus < (3 ** k - 1) * degree * b * den:
+            m_minus = Fraction(n_minus, b * den)
+            baseline = Fraction(3 ** k - 1, 2) * degree
             return Certificate(
                 VERDICT_NON_KRONECKER,
                 REASON_EVEN_BOUND,

@@ -1,17 +1,17 @@
 import random
 from fractions import Fraction
-from itertools import takewhile
+from itertools import product, takewhile
 from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclokit import kronecker as kr
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
 from cyclokit.combinat import stirling_second
-from cyclokit.errors import InputError, InvariantError
+from cyclokit.errors import InputError, InvariantError, PoleError
 from cyclokit.polyring import IntPoly
 
 
@@ -739,3 +739,230 @@ def test_certify_reads_two_log_rows_and_divides_only_to_factor(monkeypatch):
         reasons.add(cert.reason)
     assert stray_divisions[0] == 0
     assert {kr.REASON_EVEN_BOUND, kr.REASON_ODD_IDENTITY, None} <= reasons
+
+
+def test_screen_computes_phi_d_at_3_only_after_phi_d_at_2_passes(monkeypatch):
+    # x^200 + x + 1 = Phi_3 * cofactor; the candidates whose Phi_d(2) divides
+    # f(2) are counted here with values of their own, from a cold screen
+    f = IntPoly.monomial(1, 200) + IntPoly((1, 1))
+    f2 = f(2)
+    candidates = kr.cyclotomic_candidates(f.degree)
+    passing = {d for d, _ in candidates if f2 % pr.cyclotomic_value(d, 2) == 0}
+    value = pr.cyclotomic_value
+    calls_at_3 = []
+
+    def counting_value(d, x):
+        if x == 3:
+            calls_at_3.append(d)
+        return value(d, x)
+
+    monkeypatch.setattr(kr, "cyclotomic_value", counting_value)
+    kr._screen_value_2.cache_clear()
+    kr._screen_value_3.cache_clear()
+    try:
+        fac = kr.factor_kronecker(f)
+    finally:
+        kr._screen_value_2.cache_clear()
+        kr._screen_value_3.cache_clear()
+    assert fac.factors == {3: 1}
+    assert fac.reconstruct() == f
+    assert 3 in calls_at_3
+    assert len(calls_at_3) == len(set(calls_at_3))
+    assert set(calls_at_3) <= passing
+    assert len(passing) < len(candidates) // 10
+
+
+def _horner_value(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _sign_reference(f):
+    # (reason, x, f(x)) of the first failed real-line test, or None: f(1) >= 0,
+    # then f(-1) >= 0 when f(0) f(1) != 0, then f(x) > 0 at -3, -2, 2, 3 for
+    # |x| <= 1 + max |coeff| when moreover f(-1) != 0; every value by Horner
+    value = lambda x: _horner_value(f.coeffs, x)  # noqa: E731
+    if value(1) < 0:
+        return kr.REASON_NEGATIVE_AT_ONE, 1, value(1)
+    if value(0) == 0 or value(1) == 0:
+        return None
+    if value(-1) < 0:
+        return kr.REASON_NEGATIVE_AT_MINUS_ONE, -1, value(-1)
+    if value(-1) == 0:
+        return None
+    bound = 1 + max(abs(c) for c in f.coeffs)
+    for x in (-3, -2, 2, 3):
+        if abs(x) <= bound and value(x) <= 0:
+            return kr.REASON_NEGATIVE_AT_POINT, x, value(x)
+    return None
+
+
+def _check_sign_tests(f):
+    cert = kr.sign_tests(f)
+    want = _sign_reference(f)
+    if want is None:
+        assert cert is None, f
+    else:
+        reason, x, v = want
+        assert (cert.reason, cert.witnesses) == (reason, (Fraction(x), Fraction(v))), f
+
+
+def test_sign_tests_match_horner_on_every_small_coefficient_polynomial():
+    # every monic polynomial of degree <= 7 with |c| <= 1 (root bound 2, so
+    # only -2 and 2 are sampled), g(0) = 0, g(1) = 0 and g(-1) = 0 included
+    count = 0
+    for degree in range(8):
+        for tail in product((-1, 0, 1), repeat=degree):
+            _check_sign_tests(IntPoly(tail + (1,)))
+            count += 1
+    assert count == sum(3 ** n for n in range(8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), max_size=30),
+    st.integers(0, 2),
+    st.sampled_from([(), (-1, 1), (1, 1), (-1, 0, 1)]),
+)
+def test_sign_tests_match_horner(tail, e0, root_factor):
+    # with x^e0 for g(0) = 0, and x - 1, x + 1 or both for g(1) = 0, g(-1) = 0
+    f = IntPoly.monomial(1, e0) * IntPoly(tuple(tail) + (1,))
+    if root_factor:
+        f = f * IntPoly(root_factor)
+    _check_sign_tests(f)
+
+
+def _prime_power_base(n):
+    # q when n = q^j for a prime q and j >= 1, else 0
+    if n < 2:
+        return 0
+    q = next(p for p in range(2, n + 1) if n % p == 0)
+    while n % q == 0:
+        n //= q
+    return q if n == 1 else 0
+
+
+def _excluded_by_definition(allowed_primes, extra, d):
+    # d = 1, or d in extra, or d = m q^j with the prime q not allowed for m
+    if d == 1 or d in extra:
+        return True
+    return any(
+        d % m == 0 and (q := _prime_power_base(d // m)) and q not in allowed for m, allowed in allowed_primes
+    )
+
+
+def test_excludes_matches_the_family_definition_on_both_sides_of_the_first_table():
+    rng = random.Random(2718)
+    primes = [p for p in range(2, 60) if _prime_power_base(p) == p]
+    for _ in range(60):
+        handled = tuple(
+            (m, frozenset(q for q in primes if rng.random() < 0.25))
+            for m in (1, 2, 3, 4, 6)
+            if rng.random() < 0.8
+        )
+        extra = frozenset(rng.sample(range(2, 400), rng.randint(0, 20)))
+        C = kr.ExcludedIndices(handled, extra=extra)
+        more = rng.sample(range(2, 1025), rng.randint(1, 30))
+        for C, extra in ((C, extra), (C.with_extra(more), extra | frozenset(more))):
+            for d in range(1, 1025):
+                assert C.excludes(d) == _excluded_by_definition(handled, extra, d), (handled, extra, d)
+
+
+# k / B_k^+ for the even orders of certify
+_EVEN_SCALE = {2: Fraction(12), 4: Fraction(-120)}
+
+
+def _stirling_reference(f, k, point):
+    # the Fraction sum sum_j point^j {k, j} (log f)^(j)(point), or None at a root
+    try:
+        vals = pr.log_derivative_values(f, k, point)
+    except PoleError:
+        return None, None
+    return vals, sum((point ** j * stirling_second(k, j) * vals[j - 1] for j in range(1, k + 1)), Fraction(0))
+
+
+def _odd_reference(f, k):
+    for point in (1, -1):
+        vals, total = _stirling_reference(f, k, point)
+        if vals is not None and total != 0:
+            return kr.REASON_ODD_IDENTITY, k, tuple(vals) + (total,), {"point": point}
+    return None
+
+
+def _mu_reference(k, allowed_primes, extra):
+    # the least J_k(j)/phi(j) over j >= 2 outside the families, by an ascending
+    # scan that stops once j^(k-1) passes the best ratio
+    best = None
+    j = 2
+    while best is None or j ** (k - 1) <= best:
+        if not _excluded_by_definition(allowed_primes, extra, j):
+            r = Fraction(nt.jordan_totient(k, j), nt.euler_phi(j))
+            best = r if best is None else min(best, r)
+        j += 1
+    return best
+
+
+def _even_reference(f, k, degree, C, known):
+    scale = _EVEN_SCALE[k]
+    _, s_plus = _stirling_reference(f, k, 1)
+    if s_plus is not None:
+        m_plus = scale * s_plus
+        residue = m_plus - sum(e * nt.jordan_totient(k, d) for d, e in known.items())
+        deg_rest = degree - sum(e * nt.euler_phi(d) for d, e in known.items())
+        extra = C.extra | frozenset(known)
+        mu = _mu_reference(k, C.allowed_primes, extra)
+        if residue < mu * deg_rest:
+            details = {
+                "point": 1,
+                "excluded": {
+                    "allowed_primes": {str(m): sorted(qs) for m, qs in C.allowed_primes},
+                    "skipped": list(C.skipped),
+                    "extra": sorted(extra),
+                },
+                "known_divisors": known,
+                "lhs": residue,
+                "rhs": mu * deg_rest,
+            }
+            return kr.REASON_EVEN_BOUND, k, (m_plus, residue, mu, Fraction(deg_rest)), details
+    _, s_minus = _stirling_reference(f, k, -1)
+    if s_plus is not None and s_minus is not None:
+        m_minus = scale * s_minus
+        baseline = Fraction(3 ** k - 1, 2) * degree
+        if m_minus < baseline:
+            return kr.REASON_EVEN_BOUND, k, (m_minus, baseline), {"point": -1, "lhs": m_minus, "rhs": baseline}
+    return None
+
+
+def _outcome(cert):
+    return None if cert is None else (cert.reason, cert.k, cert.witnesses, cert.details)
+
+
+@st.composite
+def _stage_inputs(draw):
+    # monic g of degree <= 40: a random part times x^e0, times Phi_1 or Phi_2
+    # for a root at 1 or -1, times a few Phi_d; f(1) < 0 comes with the
+    # random part
+    g = IntPoly.monomial(1, draw(st.integers(0, 2)))
+    g = g * IntPoly(tuple(draw(st.lists(st.integers(-4, 4), max_size=12))) + (1,))
+    for d in draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15]), max_size=4)):
+        g = g * pr.cyclotomic(d)
+    assume(g.degree <= 40)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stage_inputs(), st.data())
+def test_stages_match_a_fraction_reference(g, data):
+    fac = kr.factor_kronecker(g)
+    logs = kr.log_rows(g)
+    for k in (3, 5):
+        assert _outcome(kr.odd_identity_check(logs, k)) == _odd_reference(g, k), (g, k)
+    C = kr.excluded_set(g, fac.factors)
+    indices = sorted(set(kr._small_low_ratio_indices(2, C)) | {2, 3, 4, 6, 10, 12})
+    chosen = data.draw(st.lists(st.sampled_from(indices), unique=True, max_size=6))
+    known = {d: data.draw(st.integers(0, 2)) for d in chosen}
+    for k in (2, 4):
+        got = kr.even_bound_check(logs, k, g.degree, C, known)
+        assert _outcome(got) == _even_reference(g, k, g.degree, C, known), (g, k, known)
