@@ -2,9 +2,13 @@
 
 All values are exact: integers where the quantity is integral, Fraction
 otherwise.  Tables are built lazily row by row and cached for the identity
-sweeps that hammer them.  The Bernoulli list and the two Stirling triangles
-grow by appending, and refuse with ResourceError any index above
-TABLE_INDEX_LIMIT.
+sweeps that hammer them.  The Bernoulli list, the two Stirling triangles and
+the Pascal rows grow by appending, and refuse with ResourceError any index
+above TABLE_INDEX_LIMIT.  The Pascal rows are the one source of binomials:
+the Bernoulli step and both Bell recurrences read C(m, i) from them, so each
+Bell entry is one integer dot product.  The exponential transform works on
+the integers d^k x_k over the common denominator d of its arguments and
+makes one Fraction per returned value.
 
 A note on the second-kind recurrence: the consequence {k, 2} = 2^(k-1) - 1 and
 the set-partition interpretation force the multiplier of {k-1, j} to be j.
@@ -13,8 +17,8 @@ the set-partition interpretation force the multiplier of {k-1, j} to be j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from math import lcm
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InputError, check_guardrail
@@ -30,6 +34,7 @@ TABLE_INDEX_LIMIT = 400
 _B_PLUS: list[Fraction] = [Fraction(1)]
 _S1_ROWS: list[tuple[int, ...]] = [(1,)]  # signed first kind, row k has indices 0..k
 _S2_ROWS: list[tuple[int, ...]] = [(1,)]
+_PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]  # row m is C(m, 0), ..., C(m, m)
 
 
 def check_table_index(n: int) -> None:
@@ -38,15 +43,27 @@ def check_table_index(n: int) -> None:
 
 
 def _table_entry(table: list, n: int, step):
-    # table[n], appending step(m, table) for m = len(table), ..., n first
-    check_table_index(n)
-    while len(table) <= n:
-        table.append(step(len(table), table))
+    # table[n], appending step(m, table) for m = len(table), ..., n first; a
+    # table never grows past TABLE_INDEX_LIMIT, so a built row needs no check
+    if n >= len(table):
+        check_table_index(n)
+        while len(table) <= n:
+            table.append(step(len(table), table))
     return table[n]
 
 
+def _pascal_step(m: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    prev = rows[m - 1]
+    return (1,) + tuple(map(add, prev, prev[1:])) + (1,)
+
+
+def _binomials(m: int) -> tuple[int, ...]:
+    # (C(m, 0), ..., C(m, m)); refuses m above TABLE_INDEX_LIMIT
+    return _table_entry(_PASCAL_ROWS, m, _pascal_step)
+
+
 def _bernoulli_step(m: int, b: list[Fraction]) -> Fraction:
-    return 1 - sum(comb(m, k) * b[k] / (m - k + 1) for k in range(m))
+    return 1 - sum(c * bk / (m - k + 1) for k, (c, bk) in enumerate(zip(_binomials(m), b)))
 
 
 def _stirling1_step(k: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -143,7 +160,7 @@ def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
     # row[t] = B_{t+level, level}, which needs z_1, ..., z_(t+1); B_{t+1,1} is
     # z_(t+1), and the terms C(n, i) z_(i+1) of n = t + level - 1 serve every
     # level that reaches that n
-    terms = [[comb(n, i) * z for i, z in enumerate(zs[:n + 1])] for n in range(k)]
+    terms = [list(map(mul, _binomials(n), zs)) for n in range(k)]
     row = zs
     for level in range(2, j + 1):
         row = [sum(map(mul, terms[t + level - 1], reversed(row[:t + 1]))) for t in range(top + 1)]
@@ -151,10 +168,11 @@ def bell_partial(k: int, j: int, xs: Sequence[Rational]) -> Fraction:
 
 
 def _bell_row(k: int, xs: Sequence[Rational]) -> list[Rational]:
-    # B_0, ..., B_k by the binomial recurrence B_m = sum_j C(m-1, j-1) B_(m-j) x_j
+    # B_0, ..., B_k by the binomial recurrence B_m = sum_j C(m-1, j-1) x_j B_(m-j),
+    # each B_m one dot product of Pascal row m - 1 with the x_j and B_(m-1), ..., B_0
     b: list[Rational] = [1]
     for m in range(1, k + 1):
-        b.append(sum(comb(m - 1, j - 1) * b[m - j] * xs[j - 1] for j in range(1, m + 1)))
+        b.append(sum(map(mul, map(mul, _binomials(m - 1), xs), reversed(b))))
     return b
 
 
@@ -172,15 +190,27 @@ def bell_complete(k: int, xs: Sequence[Rational]) -> Rational:
     return _bell_row(k, xs)[k]
 
 
+def _exp_from_bell_arguments(base: Rational, d: int, zs: Sequence[int]) -> list[Fraction]:
+    # h B_k(x) for k = 1..len(zs) from the integers z_k = d^k x_k, since
+    # B_k(z) = d^k B_k(x): one Fraction per value, over den(h) d^k
+    num, den = base.as_integer_ratio()
+    out = []
+    for b in _bell_row(len(zs), zs)[1:]:
+        den *= d
+        out.append(Fraction(num * b, den))
+    return out
+
+
 def exp_transform(logderivs: Sequence[Rational], base: Rational) -> list[Fraction]:
     """Derivatives of h from derivatives of log h at a point.
 
     Given ((log h)'(x), ..., (log h)^(K)(x)) and base = h(x) != 0, returns
     (h'(x), ..., h^(K)(x)) through h^(k) = h * B_k(logderivs), from one Bell
-    row in integers: B_k(D x_1, D^2 x_2, ...) = D^k B_k(x) for a common denominator D.
+    row in integers: B_k(D x_1, D^2 x_2, ...) = D^k B_k(x) for a common
+    denominator D.  Refuses K above TABLE_INDEX_LIMIT with ResourceError
+    before the row is built.
     """
     if base == 0:
         raise DomainError("exp_transform needs a nonzero base value")
-    d, zs = _bell_arguments(logderivs)
-    base = Fraction(base)
-    return [base * Fraction(z, d ** k) for k, z in enumerate(_bell_row(len(zs), zs)[1:], 1)]
+    check_table_index(len(logderivs))
+    return _exp_from_bell_arguments(base, *_bell_arguments(logderivs))

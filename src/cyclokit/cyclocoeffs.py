@@ -9,12 +9,17 @@ mu(n/j) != 0 and that use each part with mu(n/j) = +1 at most once (any other
 factor is a generalized binomial that vanishes), so the enumeration runs over
 those partitions alone; the sum over every partition of k lives in the tests
 as the reference.
+
+The prefix recurrence and the Bell form stay in integers: each recurrence
+step is one dot product of the coefficients so far with r_k(n), ..., r_1(n),
+and each Bell entry one dot product with a tabled Pascal row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .combinat import bell_complete, check_table_index
 from .cycloderiv import phi_derivs_at_one
@@ -81,10 +86,11 @@ def coeff_prefix_recurrence(n: int, K: int) -> list[int]:
     if n < 2 or K < 0:
         raise InputError("need n >= 2 and K >= 0")
     check_table_index(K)
-    r = [ramanujan_sum(k, n) for k in range(K + 1)]
+    r = [ramanujan_sum(k, n) for k in range(1, K + 1)]
     out = [1]
     for k in range(1, K + 1):
-        s = sum(out[j] * r[k - j] for j in range(k))
+        # sum_{j<k} a_n(j) r_(k-j)(n) against r = [r_1(n), r_2(n), ...]
+        s = sum(map(mul, out, reversed(r[:k])))
         if s % k:
             raise InvariantError(f"recurrence step not divisible: n={n}, k={k}")
         out.append(-s // k)

@@ -3,7 +3,12 @@
 Covers the values at 0 (Ramanujan sums), at 1 (Bernoulli/Stirling/Jordan
 combinations), at -1 (the same twisted by the index multiplier alpha), the
 full derivatives by one Bell transform, the Schwarzian, and the
-inverse-cyclotomic variants.  Every function here has an independent
+inverse-cyclotomic variants.  The derivative lists never build a Fraction per
+order: each log-derivative numerator is one integer dot product of a c-table
+row with J_1..J_K, reduced against the row's denominator by one gcd, and the
+Bell arguments d^k (log h)^(k) over the least common denominator d of those
+reduced values go straight to the integer Bell row; only the returned
+derivatives are Fractions.  Every function here has an independent
 oracle counterpart in polyring.log_derivative_oracle, which reads only the
 coefficients of the polynomial (a Taylor shift to the point followed by the
 power-series logarithm recurrence), and the test suite holds the two for
@@ -17,10 +22,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import mul
 
-from .combinat import bernoulli_plus, exp_transform, over_common_denominator, stirling_first
+from .combinat import _exp_from_bell_arguments, bernoulli_plus, over_common_denominator, stirling_first
 from .errors import DomainError, InputError, PoleError
 from .numtheory import dedekind_psi, euler_phi, jordan_totient, n_alpha, prime_power_value, ramanujan_sum
 from .polyring import IntPoly
@@ -106,12 +111,25 @@ def log_deriv_phi_at_minus_one(n: int, k: int) -> Fraction:
 
 def _phi_derivs(base: int, m: int, sign: int, K: int) -> list[Fraction]:
     # (h, h', ..., h^(K)) at the point from h = base and the log-derivatives
-    # (log h)^(k) = sign^k sum_j c_{k,j} J_j(m), with J_1..J_K(m) read once
+    # (log h)^(k) = sign^k sum_j c_{k,j} J_j(m) = t_k / e_k in lowest terms,
+    # with J_1..J_K(m) read once; the Bell arguments are z_k = d^k t_k / e_k
+    # for the least common denominator d of the e_k
     if K < 0:
         raise InputError("K must be >= 0")
     js = _jordan_totients(K, m)
-    logs = [_jordan_sum(k, js, sign) for k in range(1, K + 1)]
-    return [Fraction(base)] + exp_transform(logs, base)
+    tops, dens = [], []
+    for k in range(1, K + 1):
+        row = c_table(k)
+        t = sum(map(mul, row.nums[1:], js))
+        g = gcd(t, row.den)
+        tops.append(-t // g if sign < 0 and k % 2 else t // g)
+        dens.append(row.den // g)
+    d = lcm(*dens)
+    zs, power = [], 1
+    for t, e in zip(tops, dens):
+        zs.append(t * (d // e) * power)
+        power *= d
+    return [Fraction(base)] + _exp_from_bell_arguments(base, d, zs)
 
 
 def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
@@ -121,7 +139,7 @@ def phi_derivs_at_one(n: int, K: int) -> list[Fraction]:
     return _phi_derivs(prime_power_value(n), n, 1, K)
 
 
-# The order recurrence this name once ran is the one exp_transform runs now,
+# The order recurrence this name once ran is the one the Bell row runs now,
 # so it is an alias; it stays while perfbench's coeff_sweep workload reads it.
 phi_derivs_at_one_recurrence = phi_derivs_at_one
 

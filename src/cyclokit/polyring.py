@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import factorial
 from operator import mul
 
 from .errors import InputError, PoleError, check_guardrail, check_printable, int_str
@@ -362,11 +361,18 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     # integer numerators: b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t)
     # and e_t = c_t c_0^(t-1), where e_t = 0 beyond the degree
     c0 = taylor[0]
-    e = [0] + [c * c0 ** (t - 1) for t, c in enumerate(taylor[1:], 1)] + [0] * (K - m)
+    powers = accumulate(repeat(c0, m), mul, initial=1)  # c_0^0, c_0^1, ...
+    e = [0] + list(map(mul, taylor[1:], powers)) + [0] * (K - m)
     nums = [0]
     for j in range(1, K + 1):
         nums.append(j * e[j] - sum(e[t] * nums[j - t] for t in range(1, min(j, m + 1))))
-    return [Fraction(factorial(j - 1) * n * q ** j, c0 ** j) for j, n in enumerate(nums[1:], 1)]
+    # (k-1)! b_k q^k = (k-1)! q^k n_k / c_0^k, both scales kept as running products
+    values, scale, power = [], q, c0
+    for j, n in enumerate(nums[1:], 1):
+        values.append(Fraction(scale * n, power))
+        scale *= j * q
+        power *= c0
+    return values
 
 
 def log_derivative_oracle(f: IntPoly, k: int, x: Fraction | int) -> Fraction:

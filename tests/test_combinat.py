@@ -239,6 +239,38 @@ def test_bell_partial_errors():
         cb.bell_partial(4, 2, [1, 1])
 
 
+def test_pascal_rows_are_the_binomials():
+    n = cb.TABLE_INDEX_LIMIT
+    for m in range(n + 1):
+        assert cb._binomials(m) == tuple(comb(m, i) for i in range(m + 1)), m
+    with pytest.raises(ResourceError, match="TABLE_INDEX_LIMIT"):
+        cb._binomials(n + 1)
+
+
+def _bell_complete_by_comb(k, xs):
+    # the binomial recurrence B_m = sum_j C(m-1, j-1) B_(m-j) x_j with one
+    # math.comb call per term, as the row ran before the Pascal table
+    b = [1]
+    for m in range(1, k + 1):
+        b.append(sum(comb(m - 1, j - 1) * b[m - j] * xs[j - 1] for j in range(1, m + 1)))
+    return b[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.one_of(
+        st.lists(st.integers(-99, 99), min_size=40, max_size=40),
+        st.lists(rationals, min_size=40, max_size=40),
+    ),
+)
+def test_bell_complete_matches_the_comb_recurrence(k, xs):
+    value = cb.bell_complete(k, xs)
+    assert value == _bell_complete_by_comb(k, xs)
+    if all(type(x) is int for x in xs):
+        assert type(value) is int
+
+
 def test_bell_complete_values():
     x1, x2, x3 = Fraction(2), Fraction(-3), Fraction(7)
     assert cb.bell_complete(0, []) == 1
@@ -286,3 +318,17 @@ def test_exp_transform():
     assert cb.exp_transform([0, 0, 0], 4) == [0, 0, 0]
     with pytest.raises(DomainError):
         cb.exp_transform([Fraction(1)], 0)
+
+
+def test_exp_transform_refuses_above_the_index_limit_before_any_row(monkeypatch):
+    n = cb.TABLE_INDEX_LIMIT
+    # B_k(1/2, 0, ..., 0) = 2^-k
+    assert cb.exp_transform([Fraction(1, 2)] + [0] * (n - 1), 3) == [Fraction(3, 2 ** k) for k in range(1, n + 1)]
+
+    def no_row(*args):
+        raise AssertionError("built a row past the guardrail")
+
+    monkeypatch.setattr(cb, "_bell_arguments", no_row)
+    monkeypatch.setattr(cb, "_bell_row", no_row)
+    with pytest.raises(ResourceError, match="guardrail TABLE_INDEX_LIMIT = 400"):
+        cb.exp_transform([1] * (n + 1), 3)

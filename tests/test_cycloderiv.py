@@ -6,6 +6,7 @@ import pytest
 from cyclokit import cycloderiv as cd
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
+from cyclokit.combinat import _bell_arguments as bell_arguments
 from cyclokit.combinat import bernoulli_plus, stirling_first
 from cyclokit.errors import DomainError, InputError, PoleError
 from cyclokit.polyring import IntPoly
@@ -194,7 +195,7 @@ def _derivs_oracle(n, K, x):
 
 
 def test_phi_derivs_match_coefficient_oracle():
-    for n in range(1, 300):
+    for n in range(1, 301):
         if n >= 2:
             assert cd.phi_derivs_at_one(n, 12) == _derivs_oracle(n, 12, 1)
         if n != 2:
@@ -203,6 +204,43 @@ def test_phi_derivs_match_coefficient_oracle():
         for K in range(12):
             assert cd.phi_derivs_at_one(n, K) == _derivs_oracle(n, K, 1)
             assert cd.phi_derivs_at_minus_one(n, K) == _derivs_oracle(n, K, -1)
+
+
+def test_phi_derivs_match_coefficient_oracle_to_the_degree():
+    # K = phi(n) reaches every nonzero derivative; phi(n) >= sqrt(n/2), so
+    # every n with phi(n) <= 120 is below 2 * 121^2
+    for n in range(1, 2 * 121 ** 2):
+        K = nt.euler_phi(n)
+        if K > 120:
+            continue
+        if n >= 2:
+            assert cd.phi_derivs_at_one(n, K) == _derivs_oracle(n, K, 1), n
+        if n != 2:
+            assert cd.phi_derivs_at_minus_one(n, K) == _derivs_oracle(n, K, -1), n
+
+
+def test_phi_derivs_put_the_bell_arguments_over_the_reduced_denominator(monkeypatch):
+    # the integers (d, z) handed to the Bell row are those of the log-derivative
+    # values in lowest terms, not of the c-table denominators
+    seen = []
+    real = cd._exp_from_bell_arguments
+
+    def spy(base, d, zs):
+        seen.append((d, list(zs)))
+        return real(base, d, zs)
+
+    monkeypatch.setattr(cd, "_exp_from_bell_arguments", spy)
+    cases = [(n, K) for n in range(1, 40) for K in (1, 2, 5, 12)] + [(105, 40), (210, 48), (1155, 30)]
+    for n, K in cases:
+        for derivs, log_deriv, excluded in (
+            (cd.phi_derivs_at_one, cd.log_deriv_phi_at_one, 1),
+            (cd.phi_derivs_at_minus_one, cd.log_deriv_phi_at_minus_one, 2),
+        ):
+            if n == excluded:
+                continue
+            seen.clear()
+            derivs(n, K)
+            assert seen == [bell_arguments([log_deriv(n, k) for k in range(1, K + 1)])], (n, K)
 
 
 def test_phi_derivs_recurrence_agrees():
