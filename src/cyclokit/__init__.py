@@ -79,7 +79,7 @@ _EXPORTS = {
         "eval_at_root_of_unity",
         "inverse_cyclotomic",
         "is_self_reciprocal",
-        "log_derivative_oracle",
+        "log_derivative_row",
         "log_derivative_values",
         "norm_at_root_of_unity",
         "parse_poly",

@@ -28,11 +28,11 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 # largest degree the certifying commands take (kronecker factor|certify,
-# semigroup cyclotomic, fk gcd|certify and frobenius-family); at this limit
-# frobenius-family 5499 and fk certify 2750 each take about 4 s from a cold
-# start, kronecker certify of x^5500 + x + 1 about 3.5 s (Python 3.11,
-# 2 vCPU).  Library callers such as certify(cyclotomic(15015)) are not bound
-# by it.
+# semigroup cyclotomic, fk gcd|certify and frobenius-family); at this limit,
+# from a cold start, frobenius-family 5499 takes 1.4-1.5 s, fk certify 2750
+# 1.1-1.5 s and kronecker certify of x^5500 + x + 1 1.0-1.5 s (Python 3.11,
+# 2 vCPU, six runs each).  Library callers such as certify(cyclotomic(15015))
+# are not bound by it.
 CERTIFY_DEGREE_LIMIT = 5500
 
 
@@ -167,11 +167,13 @@ def _closed_form_logderiv(family: str, n: int, at: Fraction, k: int):
 def _cmd_logderiv(args):
     from . import combinat, polyring
 
+    k = args.order
+    if k < 1:
+        raise InputError(f"logderiv order must be >= 1, got {k}")
     # every route reads Stirling rows or grows values to about k! at order k,
     # so all of them refuse the orders the Stirling tables refuse
-    combinat.check_table_index(args.order)
+    combinat.check_table_index(k)
     at = _parse_rational(args.at)
-    k = args.order
     closed = None
     if args.family != "poly":
         if args.n is None:
@@ -186,11 +188,9 @@ def _cmd_logderiv(args):
             f = polyring.cyclotomic(args.n)
         else:
             f = polyring.inverse_cyclotomic(args.n)
-        value = polyring.log_derivative_oracle(f, k, at)
+        value = polyring.log_derivative_values(f, k, at)[-1]
         if closed is not None and value != closed:
-            raise InvariantError(
-                f"closed form {_rat(closed)} disagrees with oracle {_rat(value)}"
-            )
+            raise InvariantError(f"closed form {_rat(closed)} disagrees with oracle {_rat(value)}")
     payload = {
         "family": args.family,
         "n": args.n,

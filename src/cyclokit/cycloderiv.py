@@ -9,7 +9,7 @@ row with J_1..J_K, reduced against the row's denominator by one gcd, and the
 Bell arguments d^k (log h)^(k) over the least common denominator d of those
 reduced values go straight to the integer Bell row; only the returned
 derivatives are Fractions.  Every function here has an independent
-oracle counterpart in polyring.log_derivative_oracle, which reads only the
+oracle counterpart in polyring.log_derivative_values, which reads only the
 coefficients of the polynomial (a Taylor shift to the point followed by the
 power-series logarithm recurrence), and the test suite holds the two for
 exactly equal.

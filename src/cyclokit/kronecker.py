@@ -31,9 +31,9 @@ integers; Fractions are built only for the witnesses of a certificate that
 fires.  The sign values come in pairs: f(1), f(-1) and f(0) are coefficient
 sums, and f(x), f(-x) = E(x^2) +- x O(x^2) for the even and odd parts E, O.
 The Stirling stages all read one row (log f)^(j)(+-1), j <= LOG_ROW_ORDER,
-per point, kept over its least common denominator D as the integers
-D (log f)^(j)(+-1): a sum of order k is one integer dot product of the first
-k of them with the weights (+-1)^j {k, j}, cached per (k, point), and the
+per point, as polyring hands it over: integers D (log f)^(j)(+-1) over a
+common denominator D > 0.  A sum of order k is one integer dot product of the
+first k of them with the weights (+-1)^j {k, j}, cached per (k, point); the
 even bounds compare it with the Jordan-totient terms times D.  The bounds
 need the least ratio J_k(j)/phi(j) over the indices j outside the exclusions
 and the indices of the three least ratios; both are read off one walk over
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .combinat import bernoulli_plus, over_common_denominator, stirling_second
+from .combinat import bernoulli_plus, stirling_second
 from .errors import InputError, InvariantError, PoleError, rat_str
 from .numtheory import (
     euler_phi,
@@ -66,7 +66,7 @@ from .polyring import (
     cyclotomic,
     cyclotomic_product,
     cyclotomic_value,
-    log_derivative_values,
+    log_derivative_row,
     norm_at_root_of_unity,
     poly_div_exact,
 )
@@ -301,22 +301,14 @@ def _stirling_numerator(nums: list[int], k: int, point: int) -> int:
     return sum(map(mul, _stirling_weights(k, point), nums))
 
 
-def _stirling_sum_from_values(vals: list[Fraction], k: int, point: int) -> Fraction:
-    # the Stirling sum of order k over a row of rationals
-    den, nums = over_common_denominator(vals[:k])
-    return Fraction(_stirling_numerator(nums, k, point), den)
-
-
 LOG_ROW_ORDER = 5
-# a row (D, [D (log f)'(x), ..., D (log f)^(K)(x)]) over its least common
-# denominator D > 0, or None where f vanishes
+# a row (D, [D (log f)^(j)(x) for j <= K]) over a common denominator D > 0, or None
 LogRows = dict[int, tuple[int, list[int]] | None]
 
 
 def log_rows(f: IntPoly) -> LogRows:
-    """{1: row, -1: row} with row = (D, [D (log f)'(x), ..., D (log f)^(K)(x)])
-    at that point for K = LOG_ROW_ORDER and D the least common denominator of
-    the K values, or None where f vanishes.
+    """{1: row, -1: row}, each polyring.log_derivative_row(f, LOG_ROW_ORDER,
+    point), or None where f vanishes.
 
     Every Stirling stage of certify (orders 2..K) reads these two rows: the
     sum of order k is one integer dot product of the first k entries of a row
@@ -325,7 +317,7 @@ def log_rows(f: IntPoly) -> LogRows:
     rows: LogRows = {}
     for point in (1, -1):
         try:
-            rows[point] = over_common_denominator(log_derivative_values(f, LOG_ROW_ORDER, point))
+            rows[point] = log_derivative_row(f, LOG_ROW_ORDER, point)
         except PoleError:
             rows[point] = None
     return rows

@@ -296,13 +296,13 @@ def coxeter_poly(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-# largest estimated machine-word operations of log_derivative_values; at this limit
-# the slowest shape of a grid over degree, height, x and K took 1.2 s cold (2 vCPU)
+# largest estimated machine-word operations of _log_derivative_numerators; at this
+# limit the slowest shape of a grid over degree, height, x and K took 1.2 s cold (2 vCPU)
 TAYLOR_WORK_LIMIT = 2 ** 26
 
 
-def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fraction]:
-    """The first K logarithmic derivatives of f at x, exactly.
+def _log_derivative_numerators(f: IntPoly, K: int, x: Fraction | int) -> tuple[int, list[int]]:
+    """(c_0, [t_1, ..., t_K]) with (log f)^(k)(x) = t_k / c_0^k, in integers.
 
     (log f)^(k) means the (k-1)-th derivative of f'/f; no logarithm is ever
     taken.  With x = p/q, the integer polynomial h(y) = q^d f(y/q) has
@@ -313,13 +313,12 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
     Gathen & Gerhard, ISSAC 1997), and x = -1 is taken there too, through
     f(-1 + t) = g(1 - t) with g(y) = f(-y).  The series H'/H = sum_j b_j
     s^(j-1) of H(s) = sum c_j s^j then follows from j c_j = sum_{t<j} c_t
-    b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  This uses only the
-    coefficients of f, so it is the independent oracle that every
-    closed-form identity is tested against.  Its estimated work is refused
-    with ResourceError above TAYLOR_WORK_LIMIT before the first pass, at any x.
+    b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  The estimated work is
+    refused with ResourceError above TAYLOR_WORK_LIMIT before the first pass,
+    at any x; c_0 = h(p) = 0 is a PoleError.  K < 1 gives (1, []) unchecked.
     """
     if K < 1:
-        return []
+        return 1, []
     p, q = Fraction(x).as_integer_ratio()
     # the work at schoolbook cost: L coefficients of up to B = log2 max|f_i| + deg
     # log2 max(|p|, q) bits once scaled by q^i (one more pass, height/64 operations
@@ -358,28 +357,37 @@ def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fractio
         taylor[1::2] = [-c for c in taylor[1::2]]
     if not taylor or taylor[0] == 0:
         raise PoleError(f"f({x}) = 0: logarithmic derivative has a pole")
-    # integer numerators: b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t)
-    # and e_t = c_t c_0^(t-1), where e_t = 0 beyond the degree
+    # b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t) and e_t = c_t c_0^(t-1)
+    # (0 beyond the degree); t_j = (j-1)! b_j q^j c_0^j = (j-1)! q^j n_j
     c0 = taylor[0]
     powers = accumulate(repeat(c0, m), mul, initial=1)  # c_0^0, c_0^1, ...
     e = [0] + list(map(mul, taylor[1:], powers)) + [0] * (K - m)
-    nums = [0]
+    nums, out, scale = [0], [], q
     for j in range(1, K + 1):
         nums.append(j * e[j] - sum(e[t] * nums[j - t] for t in range(1, min(j, m + 1))))
-    # (k-1)! b_k q^k = (k-1)! q^k n_k / c_0^k, both scales kept as running products
-    values, scale, power = [], q, c0
-    for j, n in enumerate(nums[1:], 1):
-        values.append(Fraction(scale * n, power))
+        out.append(scale * nums[j])
         scale *= j * q
+    return c0, out
+
+
+def log_derivative_row(f: IntPoly, K: int, x: Fraction | int) -> tuple[int, list[int]]:
+    """(D, [D (log f)'(x), ..., D (log f)^(K)(x)]) in integers, over the common
+    (not always least) denominator D = |q^deg f f(p/q)|^K > 0 at x = p/q; (1, []) for K < 1."""
+    c0, ts = _log_derivative_numerators(f, K, x)
+    # t_k / c_0^k = t_k c_0^(K-k) / c_0^K, the sign of c_0^K moved into the numerators
+    powers = list(accumulate(repeat(c0, K), mul, initial=-1 if c0 < 0 and K % 2 else 1))
+    return powers[-1], list(map(mul, ts, reversed(powers[:-1])))
+
+
+def log_derivative_values(f: IntPoly, K: int, x: Fraction | int) -> list[Fraction]:
+    """The first K logarithmic derivatives of f at x as normalised Fractions, read
+    off the coefficients of f alone: the oracle every closed form is tested against."""
+    c0, ts = _log_derivative_numerators(f, K, x)
+    values, power = [], c0
+    for t in ts:
+        values.append(Fraction(t, power))
         power *= c0
     return values
-
-
-def log_derivative_oracle(f: IntPoly, k: int, x: Fraction | int) -> Fraction:
-    """The k-th logarithmic derivative of f at x (k >= 1), by the oracle path."""
-    if k < 1:
-        raise InputError("logarithmic derivative order must be >= 1")
-    return log_derivative_values(f, k, x)[-1]
 
 
 def is_self_reciprocal(f: IntPoly) -> bool:

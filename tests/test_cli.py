@@ -360,6 +360,18 @@ def test_logderiv_refuses_orders_above_the_table_index_limit(capsys):
         assert err == "error: index 401 exceeds the guardrail TABLE_INDEX_LIMIT = 400", argv
 
 
+def test_logderiv_refuses_orders_below_one_with_one_message(capsys):
+    # a closed-form point, oracle-only points of each family, and the oracle
+    # check all refuse an order below 1 alike, before any route runs
+    forms = (["phi", "6", "--at", "1"], ["phi", "6", "--at", "1", "--check-oracle"],
+             ["invphi", "9", "--at", "1/2"], ["poly", "--poly", "x+2", "--at", "1/2"])
+    for argv in forms:
+        for order in ("0", "-3"):
+            code, out, err = run(capsys, "logderiv", *argv, "--order", order)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: logderiv order must be >= 1, got {order}", argv
+
+
 def test_logderiv_closed_form_builds_no_polynomial(capsys, monkeypatch):
     from cyclokit import polyring
 

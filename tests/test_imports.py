@@ -45,7 +45,7 @@ PUBLIC = {
     ),
     "polyring": (
         "IntPoly", "coxeter_poly", "cyclotomic", "cyclotomic_product", "eval_at_root_of_unity",
-        "inverse_cyclotomic", "is_self_reciprocal", "log_derivative_oracle", "log_derivative_values",
+        "inverse_cyclotomic", "is_self_reciprocal", "log_derivative_row", "log_derivative_values",
         "norm_at_root_of_unity", "parse_poly", "poly_div_exact",
     ),
     "semigroup": (

@@ -169,14 +169,23 @@ def test_derivative():
     assert f.derivative(0) == f
 
 
+def _first_log_derivative(f, x):
+    # (log f)'(x) through both views, which must agree
+    (value,) = pr.log_derivative_values(f, 1, x)
+    den, (num,) = pr.log_derivative_row(f, 1, x)
+    assert Fraction(num, den) == value
+    return value
+
+
 def test_log_derivative_oracle():
-    assert pr.log_derivative_oracle(IntPoly((-2, 1)), 1, 1) == -1
+    assert _first_log_derivative(IntPoly((-2, 1)), 1) == -1
     for n in range(3, 31):
-        assert pr.log_derivative_oracle(pr.cyclotomic(n), 1, 1) == Fraction(nt.euler_phi(n), 2)
+        assert _first_log_derivative(pr.cyclotomic(n), 1) == Fraction(nt.euler_phi(n), 2)
     for n in range(2, 31):
-        assert pr.log_derivative_oracle(pr.cyclotomic(n), 1, 0) == -nt.mobius(n)
-    with pytest.raises(PoleError):
-        pr.log_derivative_oracle(IntPoly((-1, 1)), 1, 1)
+        assert _first_log_derivative(pr.cyclotomic(n), 0) == -nt.mobius(n)
+    for view in (pr.log_derivative_values, pr.log_derivative_row):
+        with pytest.raises(PoleError):
+            view(IntPoly((-1, 1)), 1, 1)
 
 
 def test_log_derivative_values_refuses_costly_work_before_any_pass(monkeypatch):
@@ -192,8 +201,9 @@ def test_log_derivative_values_refuses_costly_work_before_any_pass(monkeypatch):
         (IntPoly((2, 1)), 10 ** 5, 1),
         (IntPoly((10 ** 4000, 1)), 400, 0),
     ):
-        with pytest.raises(ResourceError, match=rf"guardrail TAYLOR_WORK_LIMIT = {pr.TAYLOR_WORK_LIMIT}$"):
-            pr.log_derivative_values(f, K, x)
+        for view in (pr.log_derivative_values, pr.log_derivative_row):
+            with pytest.raises(ResourceError, match=rf"guardrail TAYLOR_WORK_LIMIT = {pr.TAYLOR_WORK_LIMIT}$"):
+                view(f, K, x)
 
 
 def test_log_derivative_values_match_series_shift():
@@ -226,17 +236,32 @@ def _quotient_rule_log_derivatives(f, K, x):
     return vals
 
 
+def _assert_row_matches(f, K, x, values):
+    # log_derivative_row holds the same values over one denominator D > 0 of
+    # plain ints, or raises PoleError where the values do (values None)
+    if values is None:
+        with pytest.raises(PoleError, match="logarithmic derivative has a pole"):
+            pr.log_derivative_row(f, K, x)
+        return
+    den, nums = pr.log_derivative_row(f, K, x)
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == values
+
+
 def _assert_matches_quotient_rule(f, K, x):
-    # equal values, or PoleError from both; returns the values, None at a pole
+    # equal values, or PoleError from both views; returns the values, None at a pole
     try:
         expected = _quotient_rule_log_derivatives(f, K, x)
     except PoleError:
         with pytest.raises(PoleError, match="logarithmic derivative has a pole"):
             pr.log_derivative_values(f, K, x)
+        _assert_row_matches(f, K, x, None)
         return None
     got = pr.log_derivative_values(f, K, x)
     assert all(type(v) is Fraction for v in got)
     assert got == expected
+    _assert_row_matches(f, K, x, got)
     return got
 
 
@@ -254,6 +279,13 @@ def test_log_derivative_values_match_quotient_rule():
                 assert pr.log_derivative_values(f, K, x) == vals[:K]
     assert poles == {(1, 1), (2, -1)}
     assert pr.log_derivative_values(pr.cyclotomic(6), 0, 1) == []
+    assert pr.log_derivative_row(pr.cyclotomic(6), 0, 1) == (1, [])
+    # f(2) = -3 < 0 at odd K: the sign of f(2)^K moves into the numerators
+    f = IntPoly((1, -2))
+    assert f(2) == -3
+    vals = _assert_matches_quotient_rule(f, 3, 2)
+    assert vals == [Fraction(2, 3), Fraction(-4, 9), Fraction(16, 27)]
+    assert pr.log_derivative_row(f, 3, 2) == (27, [18, -12, 16])
 
 
 nonzero = st.integers(-9, 9).filter(bool)
@@ -323,8 +355,10 @@ def test_log_derivative_values_match_synthetic_division(coeffs, x, K, root):
     except PoleError:
         with pytest.raises(PoleError, match="logarithmic derivative has a pole"):
             pr.log_derivative_values(f, K, x)
+        _assert_row_matches(f, K, x, None)
         return
     assert pr.log_derivative_values(f, K, x) == expected
+    _assert_row_matches(f, K, x, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,8 +374,10 @@ def test_log_derivative_values_prefix_property(f, x, K, k, root):
         if k:
             with pytest.raises(PoleError):
                 pr.log_derivative_values(f, k, x)
+        _assert_row_matches(f, K, x, None)
         return
     assert full[:k] == pr.log_derivative_values(f, k, x)
+    _assert_row_matches(f, K, x, full)
 
 
 def _fact(n):
