@@ -8,8 +8,8 @@ Exit codes: 0 success or affirmative answer, 1 certified negative (for
 example a non-Kronecker verdict), 2 input error, 3 internal invariant
 violation.
 
-Each handler imports the library modules it uses, so that one command
-loads only those.
+A run builds the parser of its own command only, and its handler imports
+the library modules it uses, so that one command loads only those.
 """
 
 from __future__ import annotations
@@ -282,6 +282,8 @@ def _cmd_fk(args):
     from . import kronecker, semigroup
 
     if args.action in ("gcd", "certify"):
+        if args.k is None:
+            raise InputError(f"fk {args.action} needs the index k")
         _check_certify_degree(2 * args.k)
     if args.action == "gcd":
         pattern = semigroup.fk_gcd_pattern(args.k)
@@ -347,111 +349,115 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# name -> (help, handler, argument specs): the one source of the parser and
+# of the dispatch in main
+_COMMANDS = {
+    "phi": ("n-th cyclotomic polynomial", _cmd_phi, (
+        _arg("n", type=int),
+        _arg("--coeffs", action="store_true", help="print the CSV coefficient list"),
+        _arg("--dump-coeffs", metavar="FILE", help="write index,coefficient CSV"),
+    )),
+    "coeff": ("coefficient a_n(k) by any route", _cmd_coeff, (
+        _arg("n", type=int),
+        _arg("k", type=int),
+        _arg("--method", choices=["direct", "moller", "recurrence", "bell", "taylor1", "all"], default="direct"),
+    )),
+    "ramanujan": ("Ramanujan sum r_k(n)", _cmd_ramanujan, (_arg("k", type=int), _arg("n", type=int))),
+    "jordan": ("Jordan totient J_k(n)", _cmd_jordan, (_arg("k", type=int), _arg("n", type=int))),
+    "bernoulli": ("Bernoulli number B_k^+ (or B_k^- with --minus)", _cmd_bernoulli, (
+        _arg("k", type=int),
+        _arg("--minus", action="store_true"),
+    )),
+    "stirling": ("Stirling number of the first or second kind", _cmd_stirling, (
+        _arg("kind", choices=["1", "2"]),
+        _arg("k", type=int),
+        _arg("j", type=int),
+    )),
+    "bellpoly": ("partial or complete Bell polynomial", _cmd_bellpoly, (
+        _arg("variant", choices=["partial", "complete"]),
+        _arg("k", type=int),
+        _arg("j", type=int, nargs="?", default=None),
+        _arg("--xs", required=True, help="comma-separated rational arguments"),
+    )),
+    "logderiv": ("k-th logarithmic derivative", _cmd_logderiv, (
+        _arg("family", choices=["phi", "invphi", "poly"]),
+        _arg("n", type=int, nargs="?", default=None),
+        _arg("--poly", dest="poly", help="polynomial (for family 'poly')"),
+        _arg("--file", dest="file", help="file containing the polynomial"),
+        _arg("--at", required=True, help="evaluation point: 0, 1, -1 or a rational"),
+        _arg("--order", type=int, required=True),
+        _arg("--check-oracle", action="store_true"),
+    )),
+    "schwarzian": ("Schwarzian derivative of Phi_n at 1", _cmd_schwarzian, (_arg("n", type=int),)),
+    "kronecker": ("factor or certify a polynomial", _cmd_kronecker, (
+        _arg("action", choices=["factor", "certify"]),
+        _arg("--poly"),
+        _arg("--file"),
+    )),
+    "semigroup": ("numerical semigroup queries", _cmd_semigroup, (
+        _arg("action", choices=["info", "symmetric", "cyclotomic", "polynomial"]),
+        _arg("--gens", required=True, help="comma-separated generators"),
+    )),
+    "fk": ("the gap family f_k = 1 - x + x^k - x^(2k-1) + x^(2k)", _cmd_fk, (
+        _arg("action", choices=["gcd", "certify", "sweep"]),
+        _arg("k", type=int, nargs="?", default=None),
+        _arg("--max", type=int, default=18, help="sweep upper bound"),
+    )),
+    "frobenius-family": (
+        "symmetric non-cyclotomic semigroup with the given odd Frobenius number",
+        _cmd_frobenius_family,
+        (_arg("f", type=int),),
+    ),
+    "tables": ("reproduce the coefficient or factorization tables", _cmd_tables, (
+        _arg("which", choices=["c", "factorization"]),
+        _arg("--max", type=int, required=True),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cyclokit parser.  Given a known command, only that command's
+    subparser is built; the usage line still lists every command."""
     top = _Parser(prog="cyclokit", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phi", help="n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
-    p.add_argument("--coeffs", action="store_true", help="print the CSV coefficient list")
-    p.add_argument("--dump-coeffs", metavar="FILE", help="write index,coefficient CSV")
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("coeff", help="coefficient a_n(k) by any route")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument(
-        "--method",
-        choices=["direct", "moller", "recurrence", "bell", "taylor1", "all"],
-        default="direct",
-    )
-    p.set_defaults(handler=_cmd_coeff)
-
-    p = sub.add_parser("ramanujan", help="Ramanujan sum r_k(n)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_ramanujan)
-
-    p = sub.add_parser("jordan", help="Jordan totient J_k(n)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_jordan)
-
-    p = sub.add_parser("bernoulli", help="Bernoulli number B_k^+ (or B_k^- with --minus)")
-    p.add_argument("k", type=int)
-    p.add_argument("--minus", action="store_true")
-    p.set_defaults(handler=_cmd_bernoulli)
-
-    p = sub.add_parser("stirling", help="Stirling number of the first or second kind")
-    p.add_argument("kind", choices=["1", "2"])
-    p.add_argument("k", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(handler=_cmd_stirling)
-
-    p = sub.add_parser("bellpoly", help="partial or complete Bell polynomial")
-    p.add_argument("variant", choices=["partial", "complete"])
-    p.add_argument("k", type=int)
-    p.add_argument("j", type=int, nargs="?", default=None)
-    p.add_argument("--xs", required=True, help="comma-separated rational arguments")
-    p.set_defaults(handler=_cmd_bellpoly)
-
-    p = sub.add_parser("logderiv", help="k-th logarithmic derivative")
-    p.add_argument("family", choices=["phi", "invphi", "poly"])
-    p.add_argument("n", type=int, nargs="?", default=None)
-    p.add_argument("--poly", dest="poly", help="polynomial (for family 'poly')")
-    p.add_argument("--file", dest="file", help="file containing the polynomial")
-    p.add_argument("--at", required=True, help="evaluation point: 0, 1, -1 or a rational")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--check-oracle", action="store_true")
-    p.set_defaults(handler=_cmd_logderiv)
-
-    p = sub.add_parser("schwarzian", help="Schwarzian derivative of Phi_n at 1")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_schwarzian)
-
-    p = sub.add_parser("kronecker", help="factor or certify a polynomial")
-    p.add_argument("action", choices=["factor", "certify"])
-    p.add_argument("--poly")
-    p.add_argument("--file")
-    p.set_defaults(handler=_cmd_kronecker)
-
-    p = sub.add_parser("semigroup", help="numerical semigroup queries")
-    p.add_argument("action", choices=["info", "symmetric", "cyclotomic", "polynomial"])
-    p.add_argument("--gens", required=True, help="comma-separated generators")
-    p.set_defaults(handler=_cmd_semigroup)
-
-    p = sub.add_parser("fk", help="the gap family f_k = 1 - x + x^k - x^(2k-1) + x^(2k)")
-    p.add_argument("action", choices=["gcd", "certify", "sweep"])
-    p.add_argument("k", type=int, nargs="?", default=None)
-    p.add_argument("--max", type=int, default=18, help="sweep upper bound")
-    p.set_defaults(handler=_cmd_fk)
-
-    p = sub.add_parser(
-        "frobenius-family",
-        help="symmetric non-cyclotomic semigroup with the given odd Frobenius number",
-    )
-    p.add_argument("f", type=int)
-    p.set_defaults(handler=_cmd_frobenius_family)
-
-    p = sub.add_parser("tables", help="reproduce the coefficient or factorization tables")
-    p.add_argument("which", choices=["c", "factorization"])
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(handler=_cmd_tables)
-
+    names = list(_COMMANDS)
+    metavar = None
+    if command in _COMMANDS:
+        # the usage line names every command; no message names the action
+        # once its choice is known
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return top
 
 
+def _command_of(argv: list[str]) -> str | None:
+    # the command argparse dispatches to, when only --json comes before it;
+    # any other leading token (-h among them, which prints every command's
+    # help) leaves it open, and then every subparser is built
+    for token in argv:
+        if token != "--json":
+            return token
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_command_of(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
-        if args.command == "fk" and args.action in ("gcd", "certify") and args.k is None:
-            raise InputError(f"fk {args.action} needs the index k")
-        code, payload, lines = args.handler(args)
+        code, payload, lines = _COMMANDS[args.command][1](args)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -14,9 +14,8 @@ tests Phi_d(2) | f(2) and then Phi_d(3) | f(3), repeated before each further
 division by the same Phi_d; Phi_d(3) is computed only for the d that pass at
 2 (a few in ten thousand at degree 5500), each value in a bounded cache of
 its own.  Only survivors are divided, and only division decides.  The
-factorization is the only test of Phi_d-divisibility: every multiplicity the
-later stages need, and the gcd pattern of the semigroup family f_k, is read
-off it.
+factorization is the only test of Phi_d-divisibility here: every
+multiplicity the later stages need is read off it.
 
 certify factors first and checks the factorization against f by rebuilding
 the product with polyring.cyclotomic_product, the Mobius series Phi_d =
@@ -41,7 +40,9 @@ the indices in ascending ratio order.  The exclusion families are tested
 symbolically above the first ratio table (j <= 128); within it, where the
 walks test most indices, membership is one bit of a mask built once per
 excluded_set and extended by every with_extra.  Every certificate carries the
-witness values needed to recheck it without re-running the search.
+witness values needed to recheck it without re-running the search, except a
+nontrivial_remainder one: its reconstruction can be rechecked, but the claim
+that the remainder has no cyclotomic factor needs the search again.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from math import gcd
 from .errors import ConstructionError, InputError, InvariantError, check_guardrail
 from .kronecker import (
     Certificate,
-    CycloFactorization,
     certify,
     factor_kronecker,
     poly_div_exact,
@@ -218,7 +217,7 @@ def from_generators(gens) -> NumericalSemigroup:
 def from_gaps(gaps) -> NumericalSemigroup:
     """The numerical semigroup with the given gap set; validates closure."""
     gap_set = set(map(int, gaps))
-    if any(g < 1 for g in gap_set):
+    if min(gap_set, default=1) < 1:
         raise InputError("gaps must be positive integers")
     m = 1
     while m in gap_set:
@@ -263,12 +262,18 @@ def is_cyclotomic(S: NumericalSemigroup) -> Certificate:
 
 def fk_poly(k: int) -> IntPoly:
     """1 - x + x^k - x^(2k-1) + x^(2k), the semigroup polynomial of S_k."""
-    if k < 1:
-        raise InputError("k must be >= 1")
+    terms = _fk_terms(k)
     out = [0] * (2 * k + 1)
-    for i, c in ((0, 1), (1, -1), (k, 1), (2 * k - 1, -1), (2 * k, 1)):
+    for i, c in terms:
         out[i] += c
     return IntPoly(out)
+
+
+def _fk_terms(k: int) -> tuple[tuple[int, int], ...]:
+    # the (exponent, coefficient) terms of f_k
+    if k < 1:
+        raise InputError("k must be >= 1")
+    return (0, 1), (1, -1), (k, 1), (2 * k - 1, -1), (2 * k, 1)
 
 
 def s_k(k: int) -> NumericalSemigroup:
@@ -282,21 +287,36 @@ _FK_DIVISOR_TABLE = (6, 10, 12)
 
 
 def fk_gcd_pattern(k: int) -> tuple[int, ...]:
-    """Indices d in {6, 10, 12} with Phi_d dividing f_k, read off the
-    factorization of f_k."""
-    return _fk_pattern(k, factor_kronecker(fk_poly(k)))
+    """Indices d in {6, 10, 12} with Phi_d dividing f_k, cross-checked
+    against the residue classification mod 60; no square of the three may
+    divide f_k.
+
+    Phi_d divides x^d - 1, so it divides f_k exactly when it divides f_k
+    folded modulo x^d - 1 (exponents taken mod d), a residue of degree below
+    d; Phi_d^2 divides f_k exactly when Phi_d also divides f_k'.  No
+    polynomial of degree 2k is built.
+    """
+    f_terms = _fk_terms(k)
+    df_terms = [(e - 1, e * c) for e, c in f_terms if e]
+    found = []
+    for d in _FK_DIVISOR_TABLE:
+        phi_d = polyring.cyclotomic(d)
+        if poly_div_exact(_fold(f_terms, d), phi_d) is not None:
+            if poly_div_exact(_fold(df_terms, d), phi_d) is not None:
+                raise InvariantError(f"Phi_{d}^2 divides f_{k}")
+            found.append(d)
+    pattern = tuple(found)
+    if pattern != _fk_expected_pattern(k):
+        raise InvariantError(f"gcd pattern mismatch at k={k}: {pattern}")
+    return pattern
 
 
-def _fk_pattern(k: int, fac: CycloFactorization) -> tuple[int, ...]:
-    # the {6, 10, 12} part of the factorization of f_k, cross-checked against
-    # the residue classification mod 60; no square of the three may divide
-    found = tuple(d for d in _FK_DIVISOR_TABLE if d in fac.factors)
-    if found != _fk_expected_pattern(k):
-        raise InvariantError(f"gcd pattern mismatch at k={k}: {found}")
-    for d in found:
-        if fac.factors[d] != 1:
-            raise InvariantError(f"Phi_{d}^2 divides f_{k}")
-    return found
+def _fold(terms, d: int) -> IntPoly:
+    # sum of c x^(e mod d) over the terms c x^e
+    out = [0] * d
+    for e, c in terms:
+        out[e % d] += c
+    return IntPoly(out)
 
 
 def _fk_expected_pattern(k: int) -> tuple[int, ...]:
@@ -411,8 +431,9 @@ def fk_theorem_sweep(k_max: int) -> list[dict]:
     Asserts, with the failing k named: F_k = (2/B_2^+)((log f_k)'(1) +
     (log f_k)''(1)) = 48k - 24 computed from the oracle, the second
     derivative values f_k''(1) = k^2 + 3k - 2 and (log f_k)''(1) = 3k - 2,
-    the gcd pattern classification, read off the factorization certify
-    returns, and that S_k is cyclotomic exactly for k <= 4.
+    the gcd pattern of fk_gcd_pattern against the {6, 10, 12} part of the
+    factorization certify returns, and that S_k is cyclotomic exactly for
+    k <= 4.
     """
     if k_max < 5:
         raise InputError("k_max must be >= 5")
@@ -431,7 +452,10 @@ def fk_theorem_sweep(k_max: int) -> list[dict]:
         cert = certify(f)
         if (k <= 4) != cert.is_kronecker:
             raise InvariantError(f"S_k cyclotomicity wrong at k={k}: {cert.verdict}")
-        pattern = _fk_pattern(k, cert.factorization)
+        pattern = fk_gcd_pattern(k)
+        part = {d: e for d, e in cert.factorization.factors.items() if d in _FK_DIVISOR_TABLE}
+        if part != dict.fromkeys(pattern, 1):
+            raise InvariantError(f"gcd pattern {pattern} disagrees with the factorization at k={k}: {part}")
         rows.append(
             {
                 "k": k,

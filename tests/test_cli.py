@@ -613,3 +613,48 @@ def test_cli_exits_cleanly_on_malformed_arguments(form, tokens, use_json):
         code = main((["--json"] if use_json else []) + argv)
     assert code in (0, 1, 2), (argv, err.getvalue()[-300:])
     assert "Traceback" not in err.getvalue()
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_matches_the_full_parser(tmp_path, monkeypatch):
+    poly_file = tmp_path / "f.txt"
+    poly_file.write_text("x^4 + x^2 + 1")
+    # a valid value for each drawn token: a T by the option before it, the
+    # first N is 9 and any later N is 3
+    tokens = {"--xs": "1,1/2,3,-2,1,1,1,1,1", "--poly": "x^4 + x^2 + 1", "--file": str(poly_file),
+              "--at": "-1/3", "--gens": "4,6,9"}
+    corpus = [[], ["--help"], ["--json"], ["nosuch", "1"], ["-1", "phi", "5"], ["--", "phi", "5"],
+              ["phi"], ["phi", "--help"], ["phi", "5", "--bogus"]]
+    valid = []
+    for form in _CLI_FORMS:
+        sizes = iter(["9", "3", "3"])
+        argv = [tokens[form[i - 1]] if a == "T" else next(sizes) if a == "N" else a for i, a in enumerate(form)]
+        valid += [argv, ["--json"] + argv]
+        corpus.append(argv + ["--json"])
+    corpus += valid
+    want = {tuple(argv): _capture(argv) for argv in corpus}
+    # each form runs its command
+    assert all(want[tuple(argv)][0] in (0, 1) for argv in valid)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv in corpus:
+        assert _capture(argv) == want[tuple(argv)], argv
+
+
+def test_main_builds_only_the_parser_of_its_command(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["phi", "5"]) == 0
+    assert built == ["cyclokit", "cyclokit phi"]

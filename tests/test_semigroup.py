@@ -519,9 +519,21 @@ def test_fk_gcd_pattern():
         sg.fk_gcd_pattern(k)  # classification asserted internally
 
 
+def test_fk_gcd_pattern_builds_no_polynomial(monkeypatch):
+    def no_poly(k):
+        raise AssertionError(f"f_{k} built")
+
+    monkeypatch.setattr(sg, "fk_poly", no_poly)
+    for r in range(60):
+        k = 10 ** 18 + r
+        assert sg.fk_gcd_pattern(k) == sg._fk_expected_pattern(k), r
+    with pytest.raises(InputError):
+        sg.fk_gcd_pattern(0)
+
+
 def _fk_multiplicities_by_trial_division(k):
-    # the route fk_gcd_pattern and fk_remainder took before they read the
-    # factorization: repeated division of f_k by Phi_6, Phi_10 and Phi_12
+    # the oracle for fk_gcd_pattern and fk_remainder: repeated division of
+    # f_k itself by Phi_6, Phi_10 and Phi_12
     f = sg.fk_poly(k)
     return {d: pr.multiplicity(f, pr.cyclotomic(d)) for d in (6, 10, 12)}
 
