@@ -53,6 +53,7 @@ _EXPORTS = {
         "Certificate",
         "CycloFactorization",
         "ExcludedIndices",
+        "analytic_certificate",
         "certify",
         "even_bound_check",
         "excluded_set",

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from cyclokit import kronecker as kr
 from cyclokit import numtheory as nt
 from cyclokit import polyring as pr
+from cyclokit import semigroup as sg
 from cyclokit.combinat import over_common_denominator, stirling_second
 from cyclokit.errors import InputError, InvariantError, PoleError
 from cyclokit.polyring import IntPoly
+from test_bench_hooks import _load_workloads
 
 
 def fk(k):
@@ -633,13 +635,70 @@ def test_certify_divides_and_multiplies_once(monkeypatch):
     assert checked > 0
 
 
-def test_certify_still_raises_on_a_certificate_over_a_kronecker_input(monkeypatch):
-    def firing(g, k):
-        return kr.Certificate(kr.VERDICT_NON_KRONECKER, kr.REASON_ODD_IDENTITY, k=k)
+def _assert_analytic_stages_silent(f):
+    # f is Kronecker, so no sound analytic stage may fire on f / x^e0
+    fac = kr.factor_kronecker(f)
+    assert fac.is_kronecker, f
+    assert kr.analytic_certificate(IntPoly(f.coeffs[fac.e0 :]), fac) is None, f
 
-    monkeypatch.setattr(kr, "odd_identity_check", firing)
-    with pytest.raises(InvariantError):
-        kr.certify(pr.cyclotomic(10) * pr.cyclotomic(12))
+
+@st.composite
+def _kronecker_products(draw):
+    # x^e0 Phi_1^a Phi_2^b times repeated Phi_d, d >= 3, of degree <= 300
+    e0 = draw(st.integers(0, 3))
+    factors = {1: draw(st.integers(0, 3)), 2: draw(st.integers(0, 3))}
+    degree = factors[1] + factors[2]
+    for d, e in draw(st.lists(st.tuples(st.integers(3, 600), st.integers(1, 3)), max_size=6)):
+        if degree + e * nt.euler_phi(d) <= 300:
+            factors[d] = factors.get(d, 0) + e
+            degree += e * nt.euler_phi(d)
+    f = IntPoly.monomial(1, e0)
+    for d, e in factors.items():
+        f = f * pr.cyclotomic(d) ** e
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kronecker_products())
+def test_analytic_certificate_is_silent_on_kronecker_products(f):
+    _assert_analytic_stages_silent(f)
+
+
+def test_analytic_certificate_is_silent_on_the_benchmark_and_fk_corpora():
+    workloads = _load_workloads()
+    stream = workloads.WORKLOADS["certify_stream"]
+    seen = 0
+    for seed in (1, 2, 3):
+        for spec in stream.pool(seed) + stream.warmup(seed):
+            if spec["remainder"] == [1]:
+                _assert_analytic_stages_silent(IntPoly(spec["coeffs"]))
+                seen += 1
+    assert seen > 800
+    for k in range(1, 5):
+        _assert_analytic_stages_silent(fk(k))
+
+
+def test_analytic_certificate_is_silent_on_glued_semigroups():
+    # complete intersections <a p, a q, r> are cyclotomic: is_cyclotomic must
+    # accept every one, and no analytic stage may fire on its polynomial
+    workloads = _load_workloads()
+    rng = random.Random(2203)
+    for _ in range(100):
+        S = sg.from_generators(workloads.glued_semigroup(rng, 10, 600))
+        assert sg.is_cyclotomic(S).is_kronecker, S
+        _assert_analytic_stages_silent(sg.semigroup_polynomial(S))
+
+
+def test_certify_decides_kronecker_inputs_without_the_analytic_stages(monkeypatch):
+    def unreachable(g, factorization):
+        raise AssertionError("analytic stages ran")
+
+    monkeypatch.setattr(kr, "analytic_certificate", unreachable)
+    cert = kr.certify(pr.cyclotomic(10) * pr.cyclotomic(12))
+    assert cert.verdict == kr.VERDICT_KRONECKER
+    assert cert.factorization.factors == {10: 1, 12: 1}
+    with pytest.raises(AssertionError, match="analytic stages ran"):
+        kr.certify(fk(7))
 
 
 def test_certify_still_checks_the_reconstruction(monkeypatch):
@@ -737,7 +796,7 @@ def test_certify_reads_two_log_rows_and_divides_only_to_factor(monkeypatch):
     for f in inputs:
         rows[0] = 0
         cert = kr.certify(f)
-        assert rows[0] <= 2, (f, rows[0])
+        assert rows[0] <= (0 if cert.is_kronecker else 2), (f, rows[0])
         reasons.add(cert.reason)
         counts.add(rows[0])
     assert 2 in counts  # the counter sees the rows certify reads
