@@ -277,20 +277,14 @@ def sign_tests(f: IntPoly) -> Certificate | None:
     if vm1 == 0:
         return None
     values = {}
+    even, odd = IntPoly(evens), IntPoly(odds)
     for x in range(2, min(3, 1 + max(map(abs, coeffs))) + 1):
-        e, o = _horner(evens, x * x), x * _horner(odds, x * x)
+        e, o = even(x * x), x * odd(x * x)
         values[-x], values[x] = e - o, e + o
     for x in sorted(values):
         if values[x] <= 0:
             return _sign_certificate(REASON_NEGATIVE_AT_POINT, x, values[x])
     return None
-
-
-def _horner(coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _sign_certificate(reason: str, x: int, value: int) -> Certificate:

@@ -6,9 +6,10 @@ the cofactor left to split needs, and never past PRIME_SIEVE_LIMIT = L: a
 cofactor of at least (L + 1)^2 with no prime factor up to L is refused with
 ResourceError, so every n below (L + 1)^2 (about 4.4 * 10^12), and any n
 whose cofactor falls below that square, factors exactly.  mobius_divisors
-gives the pairs (t, mu(n/t)) of every product over (1 - x^t)^mu(n/t).  All
-but mobius, divisors, alpha, n_alpha and radical memoize; the caches and the
-shared lists only ever grow, so concurrent readers are safe under the GIL.
+gives the pairs (t, mu(n/t)) of every product over (1 - x^t)^mu(n/t).
+factorize, euler_phi, prime_power_value, jordan_totient, mobius_divisors and
+ramanujan_sum memoize; the caches and the shared lists only ever grow, so
+concurrent readers are safe under the GIL.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def dedekind_psi(n: int) -> int:
     """Dedekind psi: n * prod_{p|n} (1 + 1/p), psi(1) = 1."""
     _check_positive(n)
@@ -188,23 +188,22 @@ def ramanujan_sum(k: int, n: int) -> int:
                 for p, e in factorize(n))
 
 
+def n_alpha(n: int) -> int:
+    """n * alpha(n): 2n for odd n, n/2 when n == 2 (mod 4), n when 4 | n."""
+    _check_positive(n)
+    if n % 2 == 1:
+        return 2 * n
+    if n % 4 == 2:
+        return n // 2
+    return n
+
+
 def alpha(n: int) -> Fraction:
     """The index multiplier relating values of Phi_n at x and Phi_{n*alpha} at -x.
 
     2 for odd n, 1/2 when n == 2 (mod 4), 1 when 4 | n.
     """
-    _check_positive(n)
-    if n % 2 == 1:
-        return Fraction(2)
-    if n % 4 == 2:
-        return Fraction(1, 2)
-    return Fraction(1)
-
-
-def n_alpha(n: int) -> int:
-    """n * alpha(n), always a positive integer."""
-    a = alpha(n) * n
-    return a.numerator
+    return Fraction(n_alpha(n), n)
 
 
 _phi_sieve: list[int] = [0, 1]

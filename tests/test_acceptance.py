@@ -242,11 +242,18 @@ def test_criterion_09_gap_family_at_scale():
         logs = pr.log_derivative_values(f, 2, 1)
         if 12 * (logs[0] + logs[1]) != 48 * k - 24:
             bad.append((k, "F_k"))
+    # the 60-case pattern is the single-root lemma: Phi_6 | f_k iff
+    # k = 1,3 (mod 6), Phi_10 iff k = 2,4 (mod 10), Phi_12 iff k = 3,4 (mod 12);
+    # fk_gcd_pattern asserts square-freeness inside
     for k in range(1, 121):
+        lemma = tuple(d for d, residues in ((6, (1, 3)), (10, (2, 4)), (12, (3, 4))) if k % d in residues)
         try:
-            sg.fk_gcd_pattern(k)  # classification and square-freeness asserted inside
+            pattern = sg.fk_gcd_pattern(k)
         except Exception as exc:
             bad.append((k, str(exc)))
+            continue
+        if pattern != lemma:
+            bad.append((k, pattern))
     report("9 (certify f_k 5..100; F_k = 48k-24; 60-case pattern to 120)", not bad, str(bad[:3]))
 
 

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from cyclokit import numtheory as nt
+from cyclokit import polyring as pr
 from cyclokit.errors import InputError, ResourceError
 
 
@@ -140,8 +141,11 @@ def test_alpha():
     assert nt.alpha(3) == 2
     assert nt.alpha(6) == Fraction(1, 2)
     assert nt.alpha(12) == 1
-    for n in range(1, 300):
-        assert nt.n_alpha(n) == (nt.alpha(n) * n).numerator
+    # the defining property: Phi_n(-x) = +-Phi_(n alpha(n))(x)
+    for n in range(1, 301):
+        phi_n = pr.cyclotomic(n).coeffs
+        at_minus_x = tuple(c if i % 2 == 0 else -c for i, c in enumerate(phi_n))
+        assert pr.cyclotomic(nt.n_alpha(n)).coeffs in (at_minus_x, tuple(-c for c in at_minus_x)), n
         if n != 2:
             assert nt.euler_phi(nt.n_alpha(n)) == nt.euler_phi(n)
 

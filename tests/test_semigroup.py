@@ -203,6 +203,29 @@ def test_from_gaps_matches_pairwise_closure():
     assert 0 < rejected < len(_random_gap_sets())
 
 
+def test_from_gaps_refusal_names_the_least_gap_above_m_off_its_chain():
+    refused = 0
+    for gap_set in _random_gap_sets():
+        m = min(x for x in range(1, max(gap_set) + 2) if x not in gap_set)
+        off_chain = [z for z in sorted(gap_set) if z > m and z - m not in gap_set]
+        if off_chain:
+            refused += 1
+            z = off_chain[0]
+            with pytest.raises(InputError, match=rf"^complement not closed: {m} \+ {z - m} hits gap {z}$"):
+                sg.from_gaps(gap_set)
+    assert refused > 1000, refused
+
+
+def test_from_gaps_reads_unsorted_duplicated_and_generator_inputs():
+    rng = random.Random(1106)
+    for gap_set in _random_gap_sets()[:2000]:
+        want = _outcome(sg.from_gaps, tuple(sorted(gap_set)))
+        shuffled = list(gap_set) + rng.sample(sorted(gap_set), rng.randint(1, len(gap_set)))
+        rng.shuffle(shuffled)
+        assert _outcome(sg.from_gaps, shuffled) == want, gap_set
+        assert _outcome(sg.from_gaps, (z for z in shuffled)) == want, gap_set
+
+
 def test_minimal_generators_match_subset_sums():
     for gens in _random_generator_sets():
         S = sg.from_generators(gens)
@@ -509,14 +532,23 @@ def test_is_cyclotomic():
     assert sg.is_cyclotomic(sg.from_generators([4, 6, 9])).is_kronecker
 
 
+def _fk_pattern_by_lemma(k):
+    # the single-root lemma, which test_fk_single_root_lemma checks against
+    # division: Phi_6 | f_k iff k = 1,3 (mod 6); Phi_10 iff k = 2,4 (mod 10);
+    # Phi_12 iff k = 3,4 (mod 12)
+    return tuple(d for d, residues in ((6, (1, 3)), (10, (2, 4)), (12, (3, 4))) if k % d in residues)
+
+
 def test_fk_gcd_pattern():
     assert sg.fk_gcd_pattern(3) == (6, 12)
     assert sg.fk_gcd_pattern(4) == (10, 12)
     assert sg.fk_gcd_pattern(60) == ()
     assert sg.fk_gcd_pattern(52) == (10, 12)
     assert sg.fk_gcd_pattern(16) == (12,)
+    # the fold of f_k mod x^d - 1 depends on k mod d only, so one period of
+    # lcm(6, 10, 12) = 60 settles the pattern for every k
     for k in range(1, 61):
-        sg.fk_gcd_pattern(k)  # classification asserted internally
+        assert sg.fk_gcd_pattern(k) == _fk_pattern_by_lemma(k), k
 
 
 def test_fk_gcd_pattern_builds_no_polynomial(monkeypatch):
@@ -526,7 +558,7 @@ def test_fk_gcd_pattern_builds_no_polynomial(monkeypatch):
     monkeypatch.setattr(sg, "fk_poly", no_poly)
     for r in range(60):
         k = 10 ** 18 + r
-        assert sg.fk_gcd_pattern(k) == sg._fk_expected_pattern(k), r
+        assert sg.fk_gcd_pattern(k) == _fk_pattern_by_lemma(k), r
     with pytest.raises(InputError):
         sg.fk_gcd_pattern(0)
 
@@ -550,13 +582,10 @@ def test_fk_gcd_pattern_and_remainder_match_trial_division():
 
 
 def test_fk_single_root_lemma():
-    # Phi_6 | f_k iff k = 1,3 (mod 6); Phi_10 iff k = 2,4 (mod 10);
-    # Phi_12 iff k = 3,4 (mod 12)
     for k in range(1, 121):
         f = sg.fk_poly(k)
-        assert (pr.poly_div_exact(f, pr.cyclotomic(6)) is not None) == (k % 6 in (1, 3))
-        assert (pr.poly_div_exact(f, pr.cyclotomic(10)) is not None) == (k % 10 in (2, 4))
-        assert (pr.poly_div_exact(f, pr.cyclotomic(12)) is not None) == (k % 12 in (3, 4))
+        divides = tuple(d for d in (6, 10, 12) if pr.poly_div_exact(f, pr.cyclotomic(d)) is not None)
+        assert divides == _fk_pattern_by_lemma(k), k
 
 
 def test_fk_at_third_root_of_unity():
@@ -689,4 +718,4 @@ def test_fk_theorem_sweep_factors_each_fk_once(monkeypatch):
     monkeypatch.setattr(pr, "multiplicity", no_multiplicity)
     rows = sg.fk_theorem_sweep(40)
     assert factored == [sg.fk_poly(k) for k in range(1, 41)]
-    assert [row["gcd_pattern"] for row in rows] == [list(sg._fk_expected_pattern(k)) for k in range(1, 41)]
+    assert [row["gcd_pattern"] for row in rows] == [list(_fk_pattern_by_lemma(k)) for k in range(1, 41)]
