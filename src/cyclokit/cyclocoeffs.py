@@ -10,18 +10,19 @@ factor is a generalized binomial that vanishes), so the enumeration runs over
 those partitions alone; the sum over every partition of k lives in the tests
 as the reference.
 
-The prefix recurrence and the Bell form stay in integers: each recurrence
-step is one dot product of the coefficients so far with r_k(n), ..., r_1(n),
-and each Bell entry one dot product with a tabled Pascal row.
+The prefix recurrence, the Bell form and the Taylor re-expansion stay in
+integers: each recurrence step is one dot product of the coefficients so far
+with r_k(n), ..., r_1(n), each Bell entry one dot product with a tabled Pascal
+row, and the re-expansion one signed sum of the integers Phi_n^(t)(1)/t!
+against the tabled C(t, k).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .combinat import bell_complete, check_table_index
+from .combinat import _binomials, bell_complete, check_table_index
 from .cycloderiv import phi_derivs_at_one
 from .errors import InputError, InvariantError, check_guardrail
 from .numtheory import euler_phi, mobius, ramanujan_sum
@@ -113,9 +114,10 @@ def coeff_bell(n: int, k: int) -> int:
 def coeff_taylor_from_one(n: int, k: int) -> int:
     """a_n(k) by re-expanding the Taylor series of Phi_n around 1.
 
-    a_n(k) = (1/k!) sum_{t=k}^{phi(n)} (-1)^(t-k) Phi_n^(t)(1) / (t-k)!,
-    with the derivatives at 1 from the Bell-transform closed form, whose rows
-    run to phi(n): refuses phi(n) above TABLE_INDEX_LIMIT before building any.
+    The Taylor coefficients T_t = Phi_n^(t)(1) / t! are integers, and
+    a_n(k) = sum_{t=k}^{phi(n)} (-1)^(t-k) C(t, k) T_t, all in integers, with
+    the derivatives at 1 from the Bell-transform closed form, whose rows run
+    to phi(n): refuses phi(n) above TABLE_INDEX_LIMIT before building any.
     """
     if n < 2 or k < 0:
         raise InputError("need n >= 2 and k >= 0")
@@ -124,11 +126,14 @@ def coeff_taylor_from_one(n: int, k: int) -> int:
     if k > d:
         raise InputError(f"k must be at most phi(n) = {d}")
     derivs = phi_derivs_at_one(n, d)
-    total = sum(Fraction((-1) ** (t - k), factorial(t - k)) * derivs[t] for t in range(k, d + 1))
-    val = total / factorial(k)
-    if val.denominator != 1:
-        raise InvariantError(f"Taylor re-expansion not integral: n={n}, k={k}")
-    return val.numerator
+    total, fact = 0, factorial(k)  # fact = t!
+    for t in range(k, d + 1):
+        taylor, rest = divmod(derivs[t], fact)
+        if rest:
+            raise InvariantError(f"Phi_{n}^({t})(1) is not divisible by {t}!: n={n}, k={k}")
+        total += (-1) ** (t - k) * _binomials(t)[k] * taylor
+        fact *= t + 1
+    return total
 
 
 def coeff_all_methods(n: int, k: int) -> int:

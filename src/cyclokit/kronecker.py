@@ -254,8 +254,9 @@ def sign_tests(f: IntPoly) -> Certificate | None:
     f(0) != 0 and f(1) > 0 it has f(-1) >= 0, and when f(-1) > 0 it is
     positive on the whole real line, so any integer x with f(x) <= 0 is a
     certificate.  Only 2 <= |x| <= min(3, B) is sampled, where B = 1 +
-    max|coeff| bounds the roots; the sample is a cheap early exit, and trial
-    division still decides whatever it misses.
+    f.height bounds the roots (the height is read once per IntPoly and shared
+    with the log rows); the sample is a cheap early exit, and trial division
+    still decides whatever it misses.
 
     With f(x) = E(x^2) + x O(x^2) for the even and odd parts E and O, f(1),
     f(-1) and f(0) are coefficient sums, and each pair f(x), f(-x) costs one
@@ -278,7 +279,7 @@ def sign_tests(f: IntPoly) -> Certificate | None:
         return None
     values = {}
     even, odd = IntPoly(evens), IntPoly(odds)
-    for x in range(2, min(3, 1 + max(map(abs, coeffs))) + 1):
+    for x in range(2, min(3, 1 + f.height) + 1):
         e, o = even(x * x), x * odd(x * x)
         values[-x], values[x] = e - o, e + o
     for x in sorted(values):

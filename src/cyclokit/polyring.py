@@ -25,13 +25,17 @@ from .numtheory import divisors, euler_phi, mobius_divisors, n_alpha, prime_powe
 
 
 class IntPoly:
-    """Dense integer-coefficient polynomial.
+    """Dense integer-coefficient polynomial, immutable.
+
+    The height max |coefficient| is read on first use and kept with the
+    polynomial, so every reader of one IntPoly shares a single scan; pickling
+    and copying carry the coefficients only.
 
     >>> IntPoly((1, -1, 1)) * IntPoly((1, 1))
     IntPoly('x^3 + 1')
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_height")
 
     def __init__(self, coeffs=()):
         end = len(coeffs)
@@ -41,6 +45,19 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
+
+    @property
+    def height(self) -> int:
+        """max |coefficient|; 0 for the zero polynomial."""
+        try:
+            return self._height
+        except AttributeError:
+            height = max(map(abs, self.coeffs), default=0)
+            object.__setattr__(self, "_height", height)
+            return height
 
     @staticmethod
     def monomial(c: int, k: int) -> "IntPoly":
@@ -313,9 +330,13 @@ def _log_derivative_numerators(f: IntPoly, K: int, x: Fraction | int) -> tuple[i
     Gathen & Gerhard, ISSAC 1997), and x = -1 is taken there too, through
     f(-1 + t) = g(1 - t) with g(y) = f(-y).  The series H'/H = sum_j b_j
     s^(j-1) of H(s) = sum c_j s^j then follows from j c_j = sum_{t<j} c_t
-    b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  The estimated work is
-    refused with ResourceError above TAYLOR_WORK_LIMIT before the first pass,
-    at any x; c_0 = h(p) = 0 is a PoleError.  K < 1 gives (1, []) unchecked.
+    b_(j-t), and (log f)^(k)(x) = (k-1)! b_k q^k.  At x = 0 the Taylor
+    coefficients are f_0..f_K themselves: the truncation f_0 + ... + f_K x^K
+    has the same log-derivatives to order K, so only it is read, with no
+    pass.  The estimated work, at 0 over those K + 1 coefficients and
+    elsewhere over all of f with its cached height, is refused with
+    ResourceError above TAYLOR_WORK_LIMIT before any work, at any x;
+    c_0 = h(p) = 0 is a PoleError.  K < 1 gives (1, []) unchecked.
     """
     if K < 1:
         return 1, []
@@ -325,9 +346,10 @@ def _log_derivative_numerators(f: IntPoly, K: int, x: Fraction | int) -> tuple[i
     # a word), growing log2 L bits a pass, L + P in all; then per order j, m products
     # c_t c_0^(t-1) n_(j-t) and a reduction, with n_j <= deg (j-1)! q^j (|c_0|/rho)^j,
     # rho the root distance, and |c_0|/rho <= 2 max c_t, 2^(2 B + 3 log2 L + 1) (Fujiwara)
-    L = len(f.coeffs)
+    coeffs = f.coeffs if p else f.coeffs[: K + 1]
+    L = len(coeffs)
     lg = (max(abs(p), q) - 1).bit_length()
-    height = max(map(abs, f.coeffs), default=0).bit_length()
+    height = (f.height if p else max(map(abs, coeffs), default=0)).bit_length()
     bits = height + (L - 1) * lg
     passes = min(K + 1, L) if p else 0
     taylor_bits = bits + min(passes * L.bit_length(), L + passes)
@@ -337,24 +359,26 @@ def _log_derivative_numerators(f: IntPoly, K: int, x: Fraction | int) -> tuple[i
     work = steps * (taylor_bits // 64 + 1) + K * (K * value_bits // 64 + 1) ** 2
     work += K * K * m * value_bits * (2 * taylor_bits + m * (bits + L.bit_length())) // 2 ** 14
     check_guardrail("estimated machine-word operations", work, "TAYLOR_WORK_LIMIT", TAYLOR_WORK_LIMIT)
-    h = list(reversed(f.coeffs))  # descending
-    if q != 1:
-        h = list(map(mul, h, accumulate(repeat(q, len(h) - 1), mul, initial=1)))
-    flip = p == -1 and q == 1
-    if flip:
-        odd = slice(len(h) % 2, None, 2)  # the odd degrees
-        h[odd] = [-c for c in h[odd]]
-        p = 1
-    taylor = []
-    while h and len(taylor) <= K:
-        if p == 1:
-            h = list(accumulate(h))
-        elif p:
-            for i in range(1, len(h)):
-                h[i] += h[i - 1] * p
-        taylor.append(h.pop())
-    if flip:
-        taylor[1::2] = [-c for c in taylor[1::2]]
+    taylor = coeffs
+    if p:
+        h = list(reversed(coeffs))  # descending
+        if q != 1:
+            h = list(map(mul, h, accumulate(repeat(q, len(h) - 1), mul, initial=1)))
+        flip = p == -1 and q == 1
+        if flip:
+            odd = slice(len(h) % 2, None, 2)  # the odd degrees
+            h[odd] = [-c for c in h[odd]]
+            p = 1
+        taylor = []
+        while h and len(taylor) <= K:
+            if p == 1:
+                h = list(accumulate(h))
+            else:
+                for i in range(1, len(h)):
+                    h[i] += h[i - 1] * p
+            taylor.append(h.pop())
+        if flip:
+            taylor[1::2] = [-c for c in taylor[1::2]]
     if not taylor or taylor[0] == 0:
         raise PoleError(f"f({x}) = 0: logarithmic derivative has a pole")
     # b_j = n_j / c_0^j with n_j = j e_j - sum_t e_t n_(j-t) and e_t = c_t c_0^(t-1)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .errors import ConstructionError, InputError, InvariantError, check_guardrail
 from .kronecker import (
@@ -195,9 +196,20 @@ def _from_apery(
     )
 
 
+def _integers(values, what: str) -> list[int]:
+    # the values by operator.index, so a float, a string or a Fraction is
+    # refused, by name, instead of truncated or parsed
+    values = tuple(values)
+    try:
+        return list(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise InputError(f"{what} must be integers, got {bad!r}") from None
+
+
 def from_generators(gens) -> NumericalSemigroup:
-    """The numerical semigroup generated by gens; their gcd must be 1."""
-    gens = [int(g) for g in gens]
+    """The numerical semigroup generated by gens, integers with gcd 1."""
+    gens = _integers(gens, "generators")
     if not gens or any(g < 1 for g in gens):
         raise InputError("generators must be positive integers")
     g = 0
@@ -217,8 +229,8 @@ def from_generators(gens) -> NumericalSemigroup:
 
 
 def from_gaps(gaps) -> NumericalSemigroup:
-    """The numerical semigroup with the given gap set; validates closure."""
-    gaps = tuple(sorted(set(map(int, gaps))))
+    """The numerical semigroup with the given gap set, integers; validates closure."""
+    gaps = tuple(sorted(set(_integers(gaps, "gaps"))))
     if gaps and gaps[0] < 1:
         raise InputError("gaps must be positive integers")
     m = 1

@@ -7,7 +7,7 @@ import pytest
 from cyclokit import cyclocoeffs as cc
 from cyclokit import cycloderiv
 from cyclokit import numtheory as nt
-from cyclokit.errors import InputError, ResourceError
+from cyclokit.errors import InputError, InvariantError, ResourceError
 from test_combinat import partitions
 
 
@@ -132,9 +132,24 @@ def test_taylor_from_one_agreement_up_to_the_table_index_limit():
     # phi(n) from 65 up to TABLE_INDEX_LIMIT
     rng = random.Random(2401)
     ns = [n for n in range(67, 1300) if 65 <= nt.euler_phi(n) <= 400]
-    for n in rng.sample(ns, 2) + [401]:
-        k = rng.randrange(nt.euler_phi(n) + 1)
+    cases = [(n, rng.randrange(nt.euler_phi(n) + 1)) for n in rng.sample(ns, 2) + [401]]
+    for n, k in cases + [(401, 200), (1010, 200)]:
         assert cc.coeff_taylor_from_one(n, k) == cc.coeff_direct(n, k), (n, k)
+
+
+def test_taylor_from_one_refuses_a_derivative_not_divisible_by_its_factorial(monkeypatch):
+    # Phi_n^(t)(1) / t! is an integer for every t; a list where one value is
+    # off by 1 at t = 4 breaks that at every k <= 4, and no k above it reads t = 4
+    def perturbed(n, K):
+        derivs = cycloderiv.phi_derivs_at_one(n, K)
+        derivs[4] += 1
+        return derivs
+
+    monkeypatch.setattr(cc, "phi_derivs_at_one", perturbed)
+    for k in range(5):
+        with pytest.raises(InvariantError, match=r"Phi_105\^\(4\)\(1\) is not divisible by 4!"):
+            cc.coeff_taylor_from_one(105, k)
+    assert cc.coeff_taylor_from_one(105, 7) == cc.coeff_direct(105, 7) == -2
 
 
 def test_lehmer_partition_form():

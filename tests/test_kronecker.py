@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product, takewhile
@@ -438,6 +440,22 @@ def test_certificate_serialization():
         details={"remainder_degree": 1},
     )
     assert plain.to_json_obj()["witnesses"] == ["1/1", "-1/1"]
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_certificates_pickle_and_copy(clone):
+    # an even bound, a sign certificate and a Kronecker verdict, each carrying
+    # its factorization, whose remainder has had its height read
+    for f in (fk(7), IntPoly((-3, 0, 1)), pr.cyclotomic(15) * pr.cyclotomic(4) * IntPoly((0, 1))):
+        cert = kr.certify(f)
+        assert cert.factorization is not None
+        assert cert.factorization.remainder.height >= 1
+        got = clone(cert)
+        assert got == cert
+        assert got.to_json_obj() == cert.to_json_obj()
+        assert got.factorization.reconstruct() == f
 
 
 def test_candidates_cover_bound():

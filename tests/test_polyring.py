@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -190,20 +192,81 @@ def test_log_derivative_oracle():
 
 def test_log_derivative_values_refuses_costly_work_before_any_pass(monkeypatch):
     # a pass at 2 over 10^6 coefficients that grow to 10^6 bits, 10^5 orders at
-    # 1 whose values grow to about 10^5 log2 10^5 bits, and 400 orders at 0 of
-    # values with denominators of up to 400 * 13288 bits
+    # 1 whose values grow to about 10^5 log2 10^5 bits, 400 orders at 0 of
+    # values with denominators of up to 400 * 13288 bits, and 3 passes at 1
+    # over a coefficient of 10^60000
     def no_pass(coeffs):
         raise AssertionError("the descending copy was made")
 
     monkeypatch.setattr(pr, "reversed", no_pass, raising=False)
+    tall = IntPoly((1, 1)) + IntPoly.monomial(10 ** 60000, 50)
     for f, K, x in (
         (IntPoly.monomial(1, 999999) + 1, 10, 2),
         (IntPoly((2, 1)), 10 ** 5, 1),
         (IntPoly((10 ** 4000, 1)), 400, 0),
+        (tall, 2, 1),
     ):
         for view in (pr.log_derivative_values, pr.log_derivative_row):
             with pytest.raises(ResourceError, match=rf"guardrail TAYLOR_WORK_LIMIT = {pr.TAYLOR_WORK_LIMIT}$"):
                 view(f, K, x)
+    # at 0 only f_0..f_K are read, with no descending copy: the values of 1 + x
+    assert pr.log_derivative_values(tall, 2, 0) == [1, -1]
+    monkeypatch.undo()  # the row view reverses its powers of c_0
+    assert pr.log_derivative_row(tall, 2, 0) == pr.log_derivative_row(IntPoly((1, 1)), 2, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_polys)
+def test_height_is_the_largest_absolute_coefficient(f):
+    assert f.height == max(map(abs, f.coeffs), default=0)
+    assert IntPoly().height == 0
+
+
+def test_intpoly_height_cannot_be_assigned():
+    f = IntPoly((3, -7, 1))
+    for _ in range(2):  # before and after the first read
+        for name in ("height", "_height"):
+            with pytest.raises(AttributeError, match="IntPoly is immutable"):
+                setattr(f, name, 5)
+        assert f.height == 7
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_intpoly_pickles_and_copies_without_its_height(clone):
+    f = IntPoly((2,)) * pr.cyclotomic(15)
+    assert f.height == 2
+    g = clone(f)
+    assert type(g) is IntPoly and g == f and g.coeffs == f.coeffs
+    with pytest.raises(AttributeError):
+        g._height  # recomputed on first read, never carried over
+    assert g.height == 2
+    assert clone(IntPoly()) == IntPoly()
+
+
+def test_rows_at_one_and_minus_one_and_sign_tests_scan_once(monkeypatch):
+    # one scan of the coefficients for the height, however many readers: the
+    # row at 1, the row at -1 and the root bound of the sign tests
+    from cyclokit import kronecker
+
+    scans = []
+
+    def counting_max(*args, **kwargs):
+        if len(args) == 1:
+            scans.append(args)
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "max", counting_max, raising=False)
+    f = IntPoly((3, 0, 1, 0, 1))  # monic, f(0), f(1) and f(-1) all positive
+    for x in (1, -1):
+        pr.log_derivative_row(f, 5, x)
+        pr.log_derivative_values(f, 5, x)
+    assert kronecker.sign_tests(f) is None
+    assert kronecker.log_rows(f)[1] == pr.log_derivative_row(f, 5, 1)
+    assert len(scans) == 1
+    pr.log_derivative_row(f, 5, 0)  # at 0 the K + 1 coefficients read are scanned
+    assert len(scans) == 2
 
 
 def test_log_derivative_values_match_series_shift():

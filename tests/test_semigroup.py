@@ -186,6 +186,24 @@ def test_from_gaps_rejections():
         sg.from_gaps([0, 1])
 
 
+@pytest.mark.parametrize(
+    "build, values, bad",
+    [
+        (sg.from_gaps, [1, 2.7], "2.7"),
+        (sg.from_generators, [3, 5.9], "5.9"),
+        (sg.from_generators, [3, float("nan")], "nan"),
+        (sg.from_gaps, ["1", "2"], "'1'"),
+        (sg.from_generators, ["3", "5"], "'3'"),
+    ],
+)
+def test_constructors_refuse_values_that_are_not_integers(build, values, bad):
+    what = "gaps" if build is sg.from_gaps else "generators"
+    with pytest.raises(InputError, match=rf"^{what} must be integers, got {re.escape(bad)}$"):
+        build(values)
+    with pytest.raises(InputError, match=rf"^{what} must be integers, got {re.escape(bad)}$"):
+        build(v for v in values)
+
+
 def test_from_gaps_matches_pairwise_closure():
     rejected = 0
     for gap_set in _random_gap_sets():
